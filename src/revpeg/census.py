@@ -13,17 +13,18 @@ from __future__ import annotations
 import random
 
 from .construct import solve_constructive, solve_path, solve_cycle
-from .errors import SolitaireError
+from .errors import PreconditionFailed, SolitaireError
 from .families import cycle_order, is_star_shape, path_order
 from .graphio import serialize_graph
 from .invariants import (
+    PathCycleVerdict,
     classify_cycle,
     classify_path,
     doubly_free_predicate,
     star_certificate,
 )
 from .model import Configuration, Graph, Move, MoveSequence, is_connected, replay
-from .oracle import Verdict, classify
+from .oracle import Classification, Verdict, classify
 
 
 def labeled_connected_graphs(n: int):
@@ -40,7 +41,13 @@ def labeled_connected_graphs(n: int):
 
 def sample_solver_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     """Seeded random connected non-star graph with a degree-3 vertex:
-    random attachment tree plus a few chords."""
+    random attachment tree plus a few chords. Sizes are drawn from
+    n_lo..n_hi, which must include some n >= 4."""
+    if not 1 <= n_lo <= n_hi or n_hi < 4:
+        raise PreconditionFailed(
+            f"sampled sizes {n_lo}..{n_hi} hold no connected non-star graph "
+            "with a degree-3 vertex (need 1 <= LO <= HI and HI >= 4)"
+        )
     while True:
         n = rng.randint(n_lo, n_hi)
         edges = set()
@@ -60,9 +67,24 @@ def sample_solver_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
             return g
 
 
-def _check_line_shape(g: Graph, cls, order: list[int], closed_form) -> list[str]:
-    """Compare oracle classification against a closed-form path/cycle
-    verdict, translated through the line labeling `order`."""
+def line_shape(g: Graph):
+    """("path" | "cycle", line labeling, closed-form verdict) for a path- or
+    cycle-shaped graph, else None."""
+    order = path_order(g)
+    if order is not None:
+        return "path", order, classify_path(g.n)
+    order = cycle_order(g)
+    if order is not None:
+        return "cycle", order, classify_cycle(g.n)
+    return None
+
+
+def closed_form_mismatches(
+    cls: Classification, order: list[int], closed_form: PathCycleVerdict
+) -> list[str]:
+    """Every disagreement between an oracle classification and a closed-form
+    path/cycle verdict, translated through the line labeling `order`
+    (position p on the line is vertex order[p - 1]); empty when they agree."""
     failures = []
     pos_of = {v: i + 1 for i, v in enumerate(order)}
     oracle_starts = frozenset(h for h in cls.matrix if cls.matrix[h])
@@ -103,11 +125,11 @@ def _check_solver_shape(g: Graph, cls) -> list[str]:
                 f"witness from hole {hole} ended on {end.peg_vertices()[0]}, "
                 f"outside the oracle end set"
             )
-    full = frozenset(g.vertices())
-    oracle_doubly = all(cls.matrix[h] == full for h in cls.matrix)
-    if doubly_free_predicate(g) != oracle_doubly:
+    predicate = doubly_free_predicate(g)
+    oracle_doubly = cls.verdict is Verdict.DOUBLY_FREELY_SOLVABLE
+    if predicate != oracle_doubly:
         failures.append(
-            f"doubly-free predicate {doubly_free_predicate(g)} but oracle "
+            f"doubly-free predicate {predicate} but oracle "
             f"full-matrix test {oracle_doubly}"
         )
     return failures
@@ -115,8 +137,6 @@ def _check_solver_shape(g: Graph, cls) -> list[str]:
 
 def check_graph(g: Graph) -> dict:
     """One census record: shape, verdict, and any trichotomy violations."""
-    order = path_order(g)
-    cyc = cycle_order(g)
     cls = classify(g)
     if g.n >= 4 and is_star_shape(g):
         shape = "star"
@@ -125,12 +145,9 @@ def check_graph(g: Graph) -> dict:
             failures.append(f"star classified {cls.verdict.value}")
         if not star_certificate(g.n).verify().proves_not_solvable:
             failures.append("star certificate failed to verify")
-    elif order is not None:
-        shape = "path"
-        failures = _check_line_shape(g, cls, order, classify_path(g.n))
-    elif cyc is not None:
-        shape = "cycle"
-        failures = _check_line_shape(g, cls, cyc, classify_cycle(g.n))
+    elif (line := line_shape(g)) is not None:
+        shape, order, closed_form = line
+        failures = closed_form_mismatches(cls, order, closed_form)
     else:
         shape = "solver"
         failures = _check_solver_shape(g, cls)

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionFailed,
     SolitaireError,
 )
-from .families import cycle_graph, cycle_order, is_star_shape, path_graph, path_order
+from .families import cycle_graph, is_star_shape, path_graph
 from .graphio import (
     classification_to_json,
     family_graph,
@@ -82,7 +82,7 @@ def _parse_bytes(text: str) -> int:
             break
     try:
         return int(float(t) * factor)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise UsageError(f"cannot parse byte size {text!r}")
 
 
@@ -102,94 +102,73 @@ def load_graph_spec(spec: str) -> Graph:
     )
 
 
-def _closed_form_for(g: Graph):
-    """(kind, verdict-ish dict) per shape, or None for general graphs."""
-    if g.n >= 4 and is_star_shape(g):
-        out = {"verdict": Verdict.NOT_SOLVABLE.value}
-        if g.n <= 14:  # exhaustive 2^n certificate check only at desk scale
-            report = star_certificate(g.n).verify()
-            out["certificate"] = {
-                "leaf_count_preserved": report.leaf_count_always_preserved,
-                "center_toggled": report.center_always_toggled,
-                "proves_not_solvable": report.proves_not_solvable,
-            }
-        return "star", out
-    order = path_order(g)
-    if order is not None:
-        v = classify_path(g.n)
-        kind = "path"
-    else:
-        order = cycle_order(g)
-        if order is None:
-            return None
-        v = classify_cycle(g.n)
-        kind = "cycle"
-    starts = sorted(order[p - 1] for p in v.admissible_starts)
-    matrix = {
-        str(order[p - 1]): sorted(order[q - 1] for q in v.end_pegs[p])
-        for p in v.admissible_starts
-    }
-    return kind, {"verdict": v.level.value, "starts": starts, "matrix": matrix}
-
-
 def cmd_classify(args, report: dict) -> int:
     g = load_graph_spec(args.graph)
     report["input"] = {"spec": args.graph, "graph": serialize_graph(g)}
     results: dict = {}
     report["results"] = results
-    closed = _closed_form_for(g)
-    if closed is not None:
-        results["closed_form"] = {"shape": closed[0], **closed[1]}
-    if g.max_degree() >= 3 and not is_star_shape(g):
+    star = g.n >= 4 and is_star_shape(g)
+    line = None if star else census_mod.line_shape(g)
+    if star:
+        closed = {"shape": "star", "verdict": Verdict.NOT_SOLVABLE.value}
+        if g.n <= 14:  # exhaustive 2^n certificate check only at desk scale
+            cert = star_certificate(g.n).verify()
+            closed["certificate"] = {
+                "leaf_count_preserved": cert.leaf_count_always_preserved,
+                "center_toggled": cert.center_always_toggled,
+                "proves_not_solvable": cert.proves_not_solvable,
+            }
+        results["closed_form"] = closed
+    elif line is not None:
+        shape, order, v = line
+        results["closed_form"] = {
+            "shape": shape,
+            "verdict": v.level.value,
+            "starts": sorted(order[p - 1] for p in v.admissible_starts),
+            "matrix": {
+                str(order[p - 1]): sorted(order[q - 1] for q in v.end_pegs[p])
+                for p in v.admissible_starts
+            },
+        }
+    elif g.max_degree() >= 3:
         results["doubly_free_predicate"] = doubly_free_predicate(g)
-    oracle_cls = None
+    checks = []
     try:
-        oracle_cls = classify(g, args.memory_budget)
-        results["oracle"] = classification_to_json(g, oracle_cls)
+        cls = classify(g, args.memory_budget)
+    except CapacityExceeded as exc:
+        results["oracle"] = None
+        results["capacity_exceeded"] = str(exc)
+        if "closed_form" not in results:
+            report["error"] = str(exc)
+            return EXIT_CAPACITY
+    else:
+        results["oracle"] = classification_to_json(g, cls)
         del results["oracle"]["graph"]
         report["memory"] = {
             "budget": args.memory_budget,
             "estimated_bytes": estimate_state_bytes(g.n),
         }
-    except CapacityExceeded as exc:
-        results["oracle"] = None
-        results["capacity_exceeded"] = str(exc)
-        if closed is None:
-            report["error"] = str(exc)
-            return EXIT_CAPACITY
-    checks = []
+        if "closed_form" in results:
+            match = (cls.verdict is Verdict.NOT_SOLVABLE if star
+                     else not census_mod.closed_form_mismatches(cls, order, v))
+            checks.append({"kind": "oracle-vs-closed-form", "match": match})
+        if "doubly_free_predicate" in results:
+            match = results["doubly_free_predicate"] == (
+                cls.verdict is Verdict.DOUBLY_FREELY_SOLVABLE
+            )
+            checks.append({"kind": "doubly-free-predicate-vs-oracle", "match": match})
     report["cross_checks"] = checks
-    if oracle_cls is not None and closed is not None:
-        match = oracle_cls.verdict.value == closed[1]["verdict"]
-        if "matrix" in closed[1]:
-            oracle_matrix = {
-                str(h): sorted(oracle_cls.matrix[h])
-                for h in oracle_cls.matrix
-                if oracle_cls.matrix[h]
-            }
-            match = match and oracle_matrix == closed[1]["matrix"]
-        checks.append({"kind": "oracle-vs-closed-form", "match": match})
-    if oracle_cls is not None and "doubly_free_predicate" in results:
-        full = frozenset(g.vertices())
-        oracle_doubly = all(oracle_cls.matrix[h] == full for h in oracle_cls.matrix)
-        checks.append(
-            {
-                "kind": "doubly-free-predicate-vs-oracle",
-                "match": results["doubly_free_predicate"] == oracle_doubly,
-            }
-        )
-    if any(not c["match"] for c in checks):
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return EXIT_MISMATCH if any(not c["match"] for c in checks) else EXIT_OK
 
 
 def _witness_payload(g: Graph, seq: MoveSequence, want_trace: bool) -> dict:
+    """Replay-checked summary of a witness; raises IllegalMoveAt if it does
+    not replay."""
     final = replay(g, seq)  # every reported witness must replay
     payload = {
-        "witness": witness_to_json(seq),
+        "final_pegs": sorted(final.peg_vertices()),
         "moves": len(seq.moves),
         "unjumps": seq.unjump_count(),
-        "final_pegs": sorted(final.peg_vertices()),
     }
     if want_trace:
         payload["trace"] = [sorted(c.peg_vertices()) for c in trace(g, seq)]
@@ -209,11 +188,12 @@ def cmd_solve(args, report: dict) -> int:
     results: dict = {}
     report["results"] = results
     seq = None
-    if args.method == "oracle":
+    if args.method != "constructive":
         report["memory"] = {
             "budget": args.memory_budget,
             "estimated_bytes": estimate_state_bytes(g.n, witness=True),
         }
+    if args.method == "oracle":
         if args.target is None:
             res = solve_from(g, args.hole, args.memory_budget)
             if res is not None:
@@ -224,10 +204,6 @@ def cmd_solve(args, report: dict) -> int:
     elif args.method == "min-unjumps":
         if args.target is not None:
             raise UsageError("--target is not supported with --method min-unjumps")
-        report["memory"] = {
-            "budget": args.memory_budget,
-            "estimated_bytes": estimate_state_bytes(g.n, witness=True),
-        }
         res = min_unjumps(g, args.hole, args.memory_budget)
         if res is not None:
             seq = res.witness
@@ -251,10 +227,10 @@ def cmd_solve(args, report: dict) -> int:
     else:
         results["solvable"] = True
         results.update(_witness_payload(g, seq, args.trace))
+        results["witness"] = witness_to_json(seq)
     if seq is not None and args.cross_check:
         res = solve_from(g, args.hole, args.memory_budget)
-        final = sorted(replay(g, seq).peg_vertices())
-        ok = res is not None and final[0] in res.end_pegs
+        ok = res is not None and results["final_pegs"][0] in res.end_pegs
         report["cross_checks"] = [{"kind": "oracle-replay", "match": ok}]
         if not ok:
             return EXIT_MISMATCH
@@ -263,20 +239,19 @@ def cmd_solve(args, report: dict) -> int:
 
 def cmd_verify(args, report: dict) -> int:
     g = load_graph_spec(args.graph)
-    with open(args.witness) as fh:
-        seq = witness_from_json(json.load(fh))
+    try:
+        with open(args.witness) as fh:
+            seq = witness_from_json(json.load(fh))
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise ParseError(f"cannot read witness {args.witness!r}: {exc}")
     report["input"] = {"spec": args.graph, "witness_file": args.witness}
     try:
-        final = replay(g, seq)
+        payload = _witness_payload(g, seq, args.trace)
     except IllegalMoveAt as exc:
         report["results"] = {"legal": False, "illegal_move_index": exc.index,
                              "message": str(exc)}
         return EXIT_MISMATCH
-    payload = {"legal": True, "final_pegs": sorted(final.peg_vertices()),
-               "moves": len(seq.moves), "unjumps": seq.unjump_count()}
-    if args.trace:
-        payload["trace"] = [sorted(c.peg_vertices()) for c in trace(g, seq)]
-    report["results"] = payload
+    report["results"] = {"legal": True, **payload}
     return EXIT_OK
 
 
@@ -295,19 +270,14 @@ def cmd_table(args, report: dict) -> int:
         g = path_graph(n) if args.family == "path" else cycle_graph(n)
         try:
             cls = classify(g, args.memory_budget)
-            starts = sorted(h for h in cls.matrix if cls.matrix[h])
-            ends = {str(h): sorted(cls.matrix[h]) for h in starts}
-            row["oracle_verdict"] = cls.verdict.value
-            row["match"] = (
-                cls.verdict.value == row["verdict"]
-                and starts == row["starts"]
-                and ends == row["ends"]
-            )
-            if not row["match"]:
-                mismatches += 1
         except CapacityExceeded:
             row["oracle_verdict"] = None
             row["match"] = None
+        else:
+            row["oracle_verdict"] = cls.verdict.value
+            row["match"] = not census_mod.closed_form_mismatches(cls, list(g.vertices()), v)
+            if not row["match"]:
+                mismatches += 1
         rows.append(row)
     report["results"] = {"family": args.family, "rows": rows}
     return EXIT_MISMATCH if mismatches else EXIT_OK
@@ -321,11 +291,17 @@ def cmd_census(args, report: dict) -> int:
     if args.samples:
         lo, hi = args.n_range
         rng = random.Random(args.seed)
-        for _ in range(args.samples):
-            g = census_mod.sample_solver_graph(rng, lo, hi)
-            tasks.append((g.n, tuple(g.sorted_edges())))
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        try:
+            for _ in range(args.samples):
+                g = census_mod.sample_solver_graph(rng, lo, hi)
+                tasks.append((g.n, tuple(g.sorted_edges())))
+        except PreconditionFailed as exc:
+            raise UsageError(f"--n-range: {exc}")
+    # ProcessPoolExecutor starts all its workers at once, so never ask for
+    # more than there are cores or tasks.
+    workers = min(args.threads, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(census_mod.check_graph_edges, tasks, chunksize=256))
     else:
         records = [census_mod.check_graph_edges(t) for t in tasks]
@@ -444,6 +420,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.memory_budget = _parse_bytes(args.memory_budget)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         if hasattr(args, "n_range") and isinstance(args.n_range, str):
             lo, _, hi = args.n_range.partition(":")
             args.n_range = (int(lo), int(hi or lo))

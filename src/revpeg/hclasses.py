@@ -5,19 +5,19 @@ with edges a-c, b-c, c-d, d-e. All 32 peg configurations on H fall into two
 14-element mutual-reachability classes (single-peg representatives: a for
 class A, c for class B) plus four frozen configurations (empty, full, abd,
 ce). Rather than hard-coding the chains, the table and all within-H routes
-are produced by exhaustive search over the 32 states; the known chains
+come from the exact oracle's search over the 32 states; the known chains
 serve as test vectors.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from functools import lru_cache
 
 from .errors import NotSameClass
 from .families import h_graph
-from .model import Configuration, Move, apply_move, legal_moves
+from .model import Configuration, Move
+from .oracle import equivalence_partition, shortest_route
 
 LETTERS = "abcde"
 
@@ -42,34 +42,10 @@ class HClass(enum.Enum):
 
 
 @lru_cache(maxsize=1)
-def _h_reach() -> dict[int, frozenset[int]]:
-    """mask -> its mutual-reachability class over within-H moves."""
-    g = h_graph()
-    out: dict[int, frozenset[int]] = {}
-    for start in range(32):
-        if start in out:
-            continue
-        seen = {start}
-        queue = deque((start,))
-        while queue:
-            s = queue.popleft()
-            c = Configuration(5, s)
-            for m in legal_moves(g, c):
-                t = apply_move(c, m).pegs
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        block = frozenset(seen)
-        for s in block:
-            out[s] = block
-    return out
-
-
-@lru_cache(maxsize=1)
 def class_table() -> dict[int, HClass]:
-    reach = _h_reach()
-    class_a = reach[letter_mask("a")]
-    class_b = reach[letter_mask("c")]
+    part = equivalence_partition(h_graph())
+    class_a = part.block_of(Configuration(5, letter_mask("a")))
+    class_b = part.block_of(Configuration(5, letter_mask("c")))
     table = {}
     for mask in range(32):
         if mask in class_a:
@@ -96,31 +72,10 @@ def h_route(src: int, dst: int) -> tuple[Move, ...]:
     """
     if src == dst:
         return ()
-    reach = _h_reach()
-    if dst not in reach[src]:
+    route = shortest_route(h_graph(), src, dst)
+    if route is None:
         raise NotSameClass(
             f"{mask_letters(src) or 'empty'} and {mask_letters(dst) or 'empty'} "
             "lie in different H classes"
         )
-    g = h_graph()
-    parent: dict[int, tuple[int, Move]] = {src: None}  # type: ignore[dict-item]
-    queue = deque((src,))
-    while queue:
-        s = queue.popleft()
-        c = Configuration(5, s)
-        for m in legal_moves(g, c):
-            t = apply_move(c, m).pegs
-            if t not in parent:
-                parent[t] = (s, m)
-                if t == dst:
-                    queue.clear()
-                    break
-                queue.append(t)
-    chain = []
-    t = dst
-    while t != src:
-        s, m = parent[t]
-        chain.append(m)
-        t = s
-    chain.reverse()
-    return tuple(chain)
+    return route.moves

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 from .errors import IllDefined, PreconditionFailed
 from .families import star_graph
-from .model import Configuration, Graph, Move, apply_move, is_connected, legal_moves
+from .model import (
+    Configuration,
+    Graph,
+    Move,
+    apply_move,
+    is_connected,
+    legal_moves,
+    path_triples,
+)
 from .oracle import Verdict
 from .quaternion import I, J, K, Quaternion, q_product
 
@@ -181,17 +189,14 @@ def binary_weighting(g: Graph, v: int) -> BinaryWeighting:
         raise PreconditionFailed(f"base vertex {v} must have degree >= 3")
     residues = _simple_path_residues(g, v)
     weight = {w: 0 if 0 in residues[w] else 1 for w in g.vertices()}
-    for y in g.vertices():
-        nb = g.adj[y]
-        for i, x in enumerate(nb):
-            for z in nb[i + 1 :]:
-                if weight[x] + weight[y] + weight[z] != 2:
-                    raise IllDefined(
-                        f"3-path {x}-{y}-{z} carries weights "
-                        f"{weight[x]},{weight[y]},{weight[z]}; the mod-3 "
-                        "weighting from vertex "
-                        f"{v} is ambiguous on this graph"
-                    )
+    for x, y, z, *_ in path_triples(g):
+        if x < z and weight[x] + weight[y] + weight[z] != 2:
+            raise IllDefined(
+                f"3-path {x}-{y}-{z} carries weights "
+                f"{weight[x]},{weight[y]},{weight[z]}; the mod-3 "
+                "weighting from vertex "
+                f"{v} is ambiguous on this graph"
+            )
     return BinaryWeighting(v, weight)
 
 

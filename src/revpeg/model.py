@@ -1,17 +1,25 @@
 """Graphs, peg configurations, moves, and replay.
 
 Vertices are the integers 1..n. A configuration is a bitmask where bit
-(v - 1) set means a peg on vertex v; moves flip exactly three bits. A jump
-takes pegs on x and y and a hole on z (x-y-z a path) to a single peg on z;
-an unjump is the exact inverse, carrying a peg from z back to x and
-re-creating the peg on y. Everything here is an immutable value and every
-operation is a pure function.
+(v - 1) set means a peg on vertex v. A jump takes pegs on x and y and a hole
+on z (x-y-z a path) to a single peg on z; an unjump is the exact inverse,
+carrying a peg from z back to x and re-creating the peg on y.
+
+The move rule, stated once: on an ordered path triple x-y-z with bits
+bx, by, bz and ``mask = bx | by | bz``, a move is legal exactly when
+``pegs & mask == bx | by`` (a jump) or ``pegs & mask == bz`` (an unjump),
+and either move flips ``mask``. ``path_triples`` tabulates the triples;
+``legal_moves``, ``replay`` and the oracle's searches all apply this rule.
+
+Everything here is an immutable value and every operation is a pure
+function.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import CapacityExceeded, IllegalMove, IllegalMoveAt, ValidationError
@@ -223,43 +231,46 @@ def _geometry_ok(g: Graph, m: Move) -> bool:
 
 
 def _pattern_ok(c: Configuration, m: Move) -> bool:
-    px = c.pegs >> (m.x - 1) & 1
-    py = c.pegs >> (m.y - 1) & 1
-    pz = c.pegs >> (m.z - 1) & 1
-    if m.kind is JUMP:
-        return px == 1 and py == 1 and pz == 0
-    return px == 0 and py == 0 and pz == 1
+    bx, by, bz = 1 << (m.x - 1), 1 << (m.y - 1), 1 << (m.z - 1)
+    return c.pegs & (bx | by | bz) == (bx | by if m.kind is JUMP else bz)
 
 
 def is_legal(g: Graph, c: Configuration, m: Move) -> bool:
     return _geometry_ok(g, m) and _pattern_ok(c, m)
 
 
-def legal_moves(g: Graph, c: Configuration) -> list[Move]:
-    """All legal moves, sorted by (y, x, z, kind).
+@lru_cache(maxsize=256)
+def path_triples(g: Graph) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """(x, y, z, mask, bx|by, bz) per ordered path triple x-y-z, sorted by
+    (y, x, z).
 
-    Every 3-path x-y-z contributes up to two jump candidates and two unjump
-    candidates (x and z swap roles); for a fixed ordered triple at most one
-    kind is legal, so generating in (y, x, z) order already yields the
-    documented ordering.
+    For one triple at most one of jump/unjump is legal in a given state, so
+    scanning in this order yields moves in the documented (y, x, z, kind)
+    order.
     """
+    out = []
+    for y in g.vertices():
+        nb = g.adj[y]
+        for x in nb:
+            for z in nb:
+                if z != x:
+                    bx, by, bz = 1 << (x - 1), 1 << (y - 1), 1 << (z - 1)
+                    out.append((x, y, z, bx | by | bz, bx | by, bz))
+    return tuple(out)
+
+
+def legal_moves(g: Graph, c: Configuration) -> list[Move]:
+    """All legal moves, sorted by (y, x, z, kind)."""
     if c.n != g.n:
         raise ValidationError(f"configuration is on {c.n} vertices, graph on {g.n}")
     pegs = c.pegs
     out: list[Move] = []
-    for y in g.vertices():
-        nb = g.adj[y]
-        py = pegs >> (y - 1) & 1
-        for x in nb:
-            px = pegs >> (x - 1) & 1
-            for z in nb:
-                if z == x:
-                    continue
-                pz = pegs >> (z - 1) & 1
-                if px and py and not pz:
-                    out.append(Move(JUMP, x, y, z))
-                elif not px and not py and pz:
-                    out.append(Move(UNJUMP, x, y, z))
+    for x, y, z, mask, on_jump, on_unjump in path_triples(g):
+        on = pegs & mask
+        if on == on_jump:
+            out.append(Move(JUMP, x, y, z))
+        elif on == on_unjump:
+            out.append(Move(UNJUMP, x, y, z))
     return out
 
 
@@ -268,7 +279,7 @@ def apply_move(c: Configuration, m: Move, g: Graph | None = None) -> Configurati
 
     The peg/hole pattern is always validated; pass ``g`` to also validate the
     path geometry (callers that generated the move from ``legal_moves`` can
-    skip it).
+    skip it). Without ``g`` the move rule takes x, y, z to be distinct.
     """
     if g is not None and not _geometry_ok(g, m):
         raise IllegalMove(f"{m}: x-y-z is not a 3-path in the graph")
@@ -297,12 +308,10 @@ class MoveSequence:
         return MoveSequence(self.start, self.moves + tuple(more))
 
 
-def replay(g: Graph, seq: MoveSequence) -> Configuration:
-    """Re-apply every move with full validation; the trusted verifier.
-
-    Raises IllegalMoveAt(index) at the first step whose geometry or
-    peg/hole pattern fails.
-    """
+def _replay_steps(g: Graph, seq: MoveSequence) -> Iterator[Configuration]:
+    """Validate and apply each move in turn, yielding the configuration
+    after it; raises IllegalMoveAt(index) at the first step whose geometry
+    or peg/hole pattern fails."""
     c = seq.start
     if c.n != g.n:
         raise IllegalMoveAt(0, f"start configuration is on {c.n} vertices, graph on {g.n}")
@@ -312,16 +321,21 @@ def replay(g: Graph, seq: MoveSequence) -> Configuration:
         if not _pattern_ok(c, m):
             raise IllegalMoveAt(i, f"{m}: peg/hole pattern does not match")
         c = Configuration(c.n, c.pegs ^ m.mask())
+        yield c
+
+
+def replay(g: Graph, seq: MoveSequence) -> Configuration:
+    """Re-apply every move with full validation; the trusted verifier.
+
+    Raises IllegalMoveAt(index) at the first step whose geometry or
+    peg/hole pattern fails.
+    """
+    c = seq.start
+    for c in _replay_steps(g, seq):
+        pass
     return c
 
 
 def trace(g: Graph, seq: MoveSequence) -> list[Configuration]:
     """Configurations after every move of a valid sequence (start excluded)."""
-    out = []
-    c = seq.start
-    for i, m in enumerate(seq.moves):
-        if not _geometry_ok(g, m) or not _pattern_ok(c, m):
-            raise IllegalMoveAt(i, f"{m}: illegal")
-        c = Configuration(c.n, c.pegs ^ m.mask())
-        out.append(c)
-    return out
+    return list(_replay_steps(g, seq))

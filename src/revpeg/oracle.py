@@ -1,16 +1,17 @@
 """Exhaustive ground-truth solver over the 2^n configuration space.
 
-States are raw peg bitmasks. For every ordered triple (x, y, z) with x-y-z
-a path in the graph, both the jump and the unjump flip the same three bits,
-so a transition is "xor with the triple mask" guarded by the peg/hole
-pattern. Because every move is invertible, reachability is symmetric and
-reachable sets are exactly the equivalence classes of mutual reachability;
-classification exploits this by exploring each class once and reading off
-every one-hole start it contains.
+States are raw peg bitmasks and transitions follow the move rule of
+``model``: on each ordered path triple, the jump and the unjump flip the
+same three bits, so a transition is "xor with the triple mask" guarded by
+the peg/hole pattern. Because every move is invertible, reachability is
+symmetric and reachable sets are exactly the equivalence classes of mutual
+reachability; classification exploits this by exploring each class once and
+reading off every one-hole start it contains.
 
-Witness searches keep flat parent arrays (predecessor state plus the triple
-index that produced it) so move sequences can be rebuilt without storing
-Move objects per state.
+One breadth-first kernel serves every search. It tags each state it reaches
+with the 1-based index of the triple whose move discovered it (a flat
+``array('I')``; 0 means unvisited). The predecessor is the state xor that
+triple's mask, so move sequences are rebuilt from the tags alone.
 """
 
 from __future__ import annotations
@@ -30,13 +31,16 @@ from .model import (
     Move,
     MoveSequence,
     is_connected,
+    path_triples,
 )
 
 #: Default state-table budget: 2 GiB.
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
-# Rough bytes-per-state costs used for the up-front budget check. They cover
-# the visited table, queue slack, and (for witness searches) parent arrays.
+# Rough bytes-per-state costs used for the up-front budget check: the 4-byte
+# tag table, member list and queue slack (plus the distance table of
+# min_unjumps). Reports show them as estimated_bytes, so they stay fixed
+# until they are re-measured.
 _BYTES_PER_STATE_SCAN = 24
 _BYTES_PER_STATE_WITNESS = 48
 
@@ -75,8 +79,8 @@ class MinUnjumpResult:
 class EquivalencePartition:
     """Partition of all 2^n peg masks into mutual-reachability classes.
 
-    Blocks hold raw masks (ints); use block_of / blocks_as_configurations
-    for the Configuration view. Blocks are ordered by their smallest mask.
+    Blocks hold raw masks (ints); use block_of to look up a Configuration.
+    Blocks are ordered by their smallest mask.
     """
 
     n: int
@@ -88,54 +92,24 @@ class EquivalencePartition:
                 return b
         raise ValueError(f"mask {c.pegs} outside the partition")
 
-    def blocks_as_configurations(self) -> tuple[frozenset[Configuration], ...]:
-        return tuple(
-            frozenset(Configuration(self.n, m) for m in b) for b in self.blocks
-        )
+
+#: Tag of a search's start state: any nonzero value marks it visited.
+_START = 0xFFFFFFFF
 
 
 @lru_cache(maxsize=256)
-def _directed_triples(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """(mask, bx, by, bz) per ordered path triple, sorted by (y, x, z).
+def _scan_table(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
+    """(tag, mask, bx|by, bz) per path triple, tag = 1-based index into
+    path_triples(g).
 
-    For one triple at most one of jump/unjump is legal in a given state, so
-    scanning triples in this order reproduces the deterministic move order
-    of legal_moves.
+    The search loops test the move rule inline on this projection instead
+    of calling a helper: that saves a Python function call per triple in
+    the hot loop.
     """
-    out = []
-    for y in g.vertices():
-        nb = g.adj[y]
-        for x in nb:
-            for z in nb:
-                if z == x:
-                    continue
-                bx, by, bz = 1 << (x - 1), 1 << (y - 1), 1 << (z - 1)
-                out.append((bx | by | bz, bx, by, bz))
-    return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def _triple_moves(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """(x, y, z) aligned with _directed_triples, for move reconstruction."""
-    out = []
-    for y in g.vertices():
-        nb = g.adj[y]
-        for x in nb:
-            for z in nb:
-                if z != x:
-                    out.append((x, y, z))
-    return tuple(out)
-
-
-def check_budget(n: int, memory_budget: int | None, witness: bool = False) -> None:
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    per_state = _BYTES_PER_STATE_WITNESS if witness else _BYTES_PER_STATE_SCAN
-    need = (1 << n) * per_state
-    if need > budget:
-        raise CapacityExceeded(
-            f"2^{n} states need ~{need} bytes (budget {budget}); "
-            "raise --memory-budget or use a closed-form classifier"
-        )
+    return tuple(
+        (tag, mask, on_jump, on_unjump)
+        for tag, (_, _, _, mask, on_jump, on_unjump) in enumerate(path_triples(g), 1)
+    )
 
 
 def estimate_state_bytes(n: int, witness: bool = False) -> int:
@@ -143,27 +117,70 @@ def estimate_state_bytes(n: int, witness: bool = False) -> int:
     return (1 << n) * per_state
 
 
-def _explore(start: int, triples, visited: bytearray) -> list[int]:
-    """BFS the mutual-reachability class of `start`; returns members in
-    discovery order. `visited` is shared across calls."""
-    visited[start] = 1
-    queue = deque((start,))
+def check_budget(n: int, memory_budget: int | None, witness: bool = False) -> None:
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    need = estimate_state_bytes(n, witness)
+    if need > budget:
+        raise CapacityExceeded(
+            f"2^{n} states need ~{need} bytes (budget {budget}); "
+            "raise --memory-budget or use a closed-form classifier"
+        )
+
+
+def _new_tags(n: int) -> array:
+    return array("I", bytes(4 << n))
+
+
+def _search(start: int, table, tags: array) -> list[int]:
+    """FIFO breadth-first search from `start` over untagged states.
+
+    Tags every newly reached state with the triple that discovered it and
+    returns the class members in discovery order. `tags` may be shared
+    across calls, so each class is explored once.
+    """
+    tags[start] = _START
     members = [start]
-    push = queue.append
-    while queue:
-        s = queue.popleft()
-        for mask, bx, by, bz in triples:
-            if s & bx:
-                if not (s & by) or (s & bz):
-                    continue
-            elif (s & by) or not (s & bz):
-                continue
-            t = s ^ mask
-            if not visited[t]:
-                visited[t] = 1
-                members.append(t)
-                push(t)
+    push = members.append
+    # members doubles as the FIFO queue: list iteration also visits the
+    # items appended while it runs.
+    for s in members:
+        for tag, mask, on_jump, on_unjump in table:
+            on = s & mask
+            if on == on_jump or on == on_unjump:
+                t = s ^ mask
+                if not tags[t]:
+                    tags[t] = tag
+                    push(t)
     return members
+
+
+def _rebuild(g: Graph, start: int, target: int, tags: array) -> MoveSequence:
+    """Walk the tags back from `target` to `start` into a move sequence."""
+    triples = path_triples(g)
+    chain = []
+    t = target
+    while t != start:
+        x, y, z, mask, on_jump, _ = triples[tags[t] - 1]
+        t ^= mask
+        chain.append(Move(JUMP if t & mask == on_jump else UNJUMP, x, y, z))
+    chain.reverse()
+    return MoveSequence(Configuration(g.n, start), tuple(chain))
+
+
+def _witness_tags(g: Graph, start: int, memory_budget: int | None) -> array:
+    check_budget(g.n, memory_budget, witness=True)
+    tags = _new_tags(g.n)
+    _search(start, _scan_table(g), tags)
+    return tags
+
+
+def shortest_route(
+    g: Graph, src: int, dst: int, memory_budget: int | None = None
+) -> MoveSequence | None:
+    """Fewest-moves sequence from peg mask `src` to peg mask `dst`, or None
+    when `dst` is not reachable."""
+    tags = _witness_tags(g, src, memory_budget)
+    return _rebuild(g, src, dst, tags) if tags[dst] else None
 
 
 def reachable_set(
@@ -173,8 +190,7 @@ def reachable_set(
     if c.n != g.n:
         raise PreconditionFailed("configuration and graph sizes differ")
     check_budget(g.n, memory_budget)
-    visited = bytearray(1 << g.n)
-    members = _explore(c.pegs, _directed_triples(g), visited)
+    members = _search(c.pegs, _scan_table(g), _new_tags(g.n))
     return frozenset(Configuration(g.n, m) for m in members)
 
 
@@ -183,60 +199,13 @@ def equivalence_partition(
 ) -> EquivalencePartition:
     """Partition all 2^n configurations by mutual reachability."""
     check_budget(g.n, memory_budget)
-    triples = _directed_triples(g)
-    visited = bytearray(1 << g.n)
+    table = _scan_table(g)
+    tags = _new_tags(g.n)
     blocks = []
     for s in range(1 << g.n):
-        if not visited[s]:
-            blocks.append(frozenset(_explore(s, triples, visited)))
+        if not tags[s]:
+            blocks.append(frozenset(_search(s, table, tags)))
     return EquivalencePartition(g.n, tuple(blocks))
-
-
-def _witness_bfs(g: Graph, start: int, memory_budget: int | None):
-    """Parent-pointer BFS from `start`.
-
-    Returns (visited, parent_state, parent_triple) flat arrays indexed by
-    state mask; parent_triple holds the index into _triple_moves(g).
-    """
-    check_budget(g.n, memory_budget, witness=True)
-    triples = _directed_triples(g)
-    size = 1 << g.n
-    visited = bytearray(size)
-    parent_state = array("q", [-1]) * size
-    parent_triple = array("i", [-1]) * size
-    visited[start] = 1
-    queue = deque((start,))
-    while queue:
-        s = queue.popleft()
-        for idx, (mask, bx, by, bz) in enumerate(triples):
-            if s & bx:
-                if not (s & by) or (s & bz):
-                    continue
-            elif (s & by) or not (s & bz):
-                continue
-            t = s ^ mask
-            if not visited[t]:
-                visited[t] = 1
-                parent_state[t] = s
-                parent_triple[t] = idx
-                queue.append(t)
-    return visited, parent_state, parent_triple
-
-
-def _rebuild(g: Graph, start: int, target: int, parent_state, parent_triple) -> MoveSequence:
-    moves_xyz = _triple_moves(g)
-    chain = []
-    t = target
-    while t != start:
-        s = parent_state[t]
-        x, y, z = moves_xyz[parent_triple[t]]
-        # A scanned triple (x,y,z) fires either as Jump(x,y,z) (pegs on x,y)
-        # or as Unjump(x,y,z) (peg on z only); the x bit of s decides.
-        kind = JUMP if s >> (x - 1) & 1 else UNJUMP
-        chain.append(Move(kind, x, y, z))
-        t = s
-    chain.reverse()
-    return MoveSequence(Configuration(g.n, start), tuple(chain))
 
 
 def _single_peg_states(n: int):
@@ -257,13 +226,12 @@ def solve_from(
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    visited, parent_state, parent_triple = _witness_bfs(g, start, memory_budget)
-    end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if visited[mask])
+    tags = _witness_tags(g, start, memory_budget)
+    end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if tags[mask])
     if not end_pegs:
         return None
     target = 1 << (min(end_pegs) - 1)
-    witness = _rebuild(g, start, target, parent_state, parent_triple)
-    return SolveResult(end_pegs, witness)
+    return SolveResult(end_pegs, _rebuild(g, start, target, tags))
 
 
 def witness_to(
@@ -276,11 +244,7 @@ def witness_to(
     if not 1 <= hole <= g.n or not 1 <= peg <= g.n:
         raise PreconditionFailed("hole and peg must lie in 1..n")
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    visited, parent_state, parent_triple = _witness_bfs(g, start, memory_budget)
-    target = 1 << (peg - 1)
-    if not visited[target]:
-        return None
-    return _rebuild(g, start, target, parent_state, parent_triple)
+    return shortest_route(g, start, 1 << (peg - 1), memory_budget)
 
 
 def classify(g: Graph, memory_budget: int | None = None) -> Classification:
@@ -294,15 +258,15 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
     if not is_connected(g):
         raise DisconnectedGraph("classify requires a connected graph")
     check_budget(g.n, memory_budget)
-    triples = _directed_triples(g)
-    visited = bytearray(1 << g.n)
+    table = _scan_table(g)
+    tags = _new_tags(g.n)
     full = (1 << g.n) - 1
     matrix: dict[int, frozenset[int]] = {}
     for h in range(1, g.n + 1):
         if h in matrix:
             continue  # class containing this start was already swept
         s0 = full ^ (1 << (h - 1))
-        members = _explore(s0, triples, visited)
+        members = _search(s0, table, tags)
         pegs = frozenset(
             mask.bit_length() for mask in members if mask and not mask & (mask - 1)
         )
@@ -336,12 +300,11 @@ def min_unjumps(
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     check_budget(g.n, memory_budget, witness=True)
-    triples = _directed_triples(g)
+    table = _scan_table(g)
     size = 1 << g.n
     INF = size + 1
     dist = array("i", [INF]) * size
-    parent_state = array("q", [-1]) * size
-    parent_triple = array("i", [-1]) * size
+    tags = _new_tags(g.n)
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
     dist[start] = 0
     dq = deque(((0, start),))
@@ -349,31 +312,25 @@ def min_unjumps(
         d, s = dq.popleft()
         if d > dist[s]:
             continue
-        for idx, (mask, bx, by, bz) in enumerate(triples):
-            if s & bx:
-                if not (s & by) or (s & bz):
-                    continue
-                cost = 0  # jump
-            elif (s & by) or not (s & bz):
-                continue
+        for tag, mask, on_jump, on_unjump in table:
+            on = s & mask
+            if on == on_jump:
+                cost = 0
+            elif on == on_unjump:
+                cost = 1
             else:
-                cost = 1  # unjump
+                continue
             t = s ^ mask
             nd = d + cost
             if nd < dist[t]:
                 dist[t] = nd
-                parent_state[t] = s
-                parent_triple[t] = idx
+                tags[t] = tag
                 if cost:
                     dq.append((nd, t))
                 else:
                     dq.appendleft((nd, t))
-    best = None
-    for mask, v in _single_peg_states(g.n):
-        if dist[mask] < INF and (best is None or dist[mask] < dist[best[0]]):
-            best = (mask, v)
-    if best is None:
+    ends = [mask for mask, _ in _single_peg_states(g.n) if dist[mask] < INF]
+    if not ends:
         return None
-    target = best[0]
-    witness = _rebuild(g, start, target, parent_state, parent_triple)
-    return MinUnjumpResult(dist[target], witness)
+    target = min(ends, key=dist.__getitem__)
+    return MinUnjumpResult(dist[target], _rebuild(g, start, target, tags))

@@ -70,3 +70,31 @@ def test_sampler_deterministic():
     a = [sample_solver_graph(random.Random(42), 7, 9).sorted_edges() for _ in range(1)]
     b = [sample_solver_graph(random.Random(42), 7, 9).sorted_edges() for _ in range(1)]
     assert a == b
+
+
+def test_sampler_refuses_ranges_without_solver_graphs():
+    import pytest
+
+    from revpeg.errors import PreconditionFailed
+
+    for lo, hi in ((10, 7), (2, 3), (0, 5)):
+        with pytest.raises(PreconditionFailed):
+            sample_solver_graph(random.Random(0), lo, hi)
+
+
+def test_closed_form_mismatches_through_labeling():
+    from revpeg.census import closed_form_mismatches
+    from revpeg.invariants import PathCycleVerdict, classify_path
+    from revpeg.oracle import Verdict, classify
+
+    g = Graph(4, [(1, 3), (3, 2), (2, 4)])  # path 1-3-2-4
+    order = [1, 3, 2, 4]
+    assert closed_form_mismatches(classify(g), order, classify_path(4)) == []
+    lying = PathCycleVerdict(
+        True, frozenset({1, 2, 3, 4}), {p: frozenset({1}) for p in range(1, 5)},
+        Verdict.FREELY_SOLVABLE,
+    )
+    got = closed_form_mismatches(classify(g), order, lying)
+    assert got[0].startswith("starts mismatch: oracle ")
+    assert got[1] == "verdict mismatch: oracle Solvable closed-form FreelySolvable"
+    assert all(m.startswith("ends mismatch at hole ") for m in got[2:]) and got[2:]

@@ -265,6 +265,65 @@ class TestDeterminism:
         assert "verdict" in out and "{" not in out.splitlines()[0]
 
 
+class TestBadInputs:
+    """Malformed or out-of-range inputs exit 1 with a message, no traceback."""
+
+    def test_infinite_memory_budget(self, capsys):
+        assert main(["--memory-budget", "inf", "classify", "path:4"]) == 1
+        assert "byte size" in capsys.readouterr().err
+
+    def test_verify_missing_witness_file(self, capsys, tmp_path):
+        assert main(["verify", str(tmp_path / "absent.json"), "path:3"]) == 1
+        assert "cannot read witness" in capsys.readouterr().err
+
+    def test_verify_non_json_witness_file(self, capsys, tmp_path):
+        wf = tmp_path / "w.json"
+        wf.write_text("not json {")
+        assert main(["verify", str(wf), "path:3"]) == 1
+        assert "cannot read witness" in capsys.readouterr().err
+
+    def test_census_reversed_n_range(self, capsys):
+        assert main(["census", "--max-n", "2", "--samples", "1", "--n-range", "10:7"]) == 1
+        assert "--n-range" in capsys.readouterr().err
+
+    def test_census_n_range_without_solver_graphs(self, capsys):
+        # no graph below 4 vertices qualifies, so sampling would never end
+        assert main(["census", "--max-n", "2", "--samples", "1", "--n-range", "2:3"]) == 1
+        assert "--n-range" in capsys.readouterr().err
+
+    def test_zero_threads(self, capsys):
+        assert main(["--threads", "0", "census", "--max-n", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
+
+def test_census_workers_capped_by_cores_and_tasks(capsys, monkeypatch):
+    import revpeg.cli as cli_mod
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
+    code, rep = run_cli(capsys, "--threads", "100000", "census", "--max-n", "3")
+    assert code == 0 and rep["results"]["graphs_checked"] == 5
+    assert started == [4]  # min(threads, cores, 5 tasks)
+    code, rep = run_cli(capsys, "--threads", "100000", "census", "--max-n", "2")
+    assert code == 0 and rep["results"]["graphs_checked"] == 1
+    assert started == [4]  # one task runs in-process, no pool
+
+
 def test_usage_error_exit_code():
     assert main(["solve", "path:4"]) == 1  # missing --hole
     assert main(["nonsense"]) == 1

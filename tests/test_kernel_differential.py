@@ -1,0 +1,329 @@
+"""Differential test: the shared search kernel against the kernels it replaced.
+
+The reference functions below are the earlier, separately written searches:
+the parent-pointer BFS with its rebuild, the class-sweep BFS, the 0/1-cost
+deque search of min_unjumps, the per-state move generator and the
+hand-written within-H route search. They keep the earlier code apart from
+names, so the single kernel in ``revpeg.oracle`` must reproduce their end
+sets, witnesses, unjump counts, partitions and routes exactly.
+
+``PYTHONPATH=src python tests/test_kernel_differential.py N`` runs the
+check over every labeled connected graph on N vertices.
+"""
+
+import random
+import sys
+from array import array
+from collections import deque
+
+import pytest
+
+from conftest import random_connected_graph
+from revpeg.census import labeled_connected_graphs
+from revpeg.errors import NotSameClass
+from revpeg.families import h_graph
+from revpeg.hclasses import h_route
+from revpeg.model import (
+    JUMP,
+    UNJUMP,
+    Configuration,
+    Graph,
+    Move,
+    MoveSequence,
+    legal_moves,
+)
+from revpeg.oracle import (
+    equivalence_partition,
+    min_unjumps,
+    reachable_set,
+    solve_from,
+    witness_to,
+)
+
+# ---------------------------------------------------------------------------
+# Reference kernels
+# ---------------------------------------------------------------------------
+
+
+def ref_directed_triples(g):
+    out = []
+    for y in g.vertices():
+        nb = g.adj[y]
+        for x in nb:
+            for z in nb:
+                if z == x:
+                    continue
+                bx, by, bz = 1 << (x - 1), 1 << (y - 1), 1 << (z - 1)
+                out.append((bx | by | bz, bx, by, bz))
+    return tuple(out)
+
+
+def ref_triple_moves(g):
+    out = []
+    for y in g.vertices():
+        nb = g.adj[y]
+        for x in nb:
+            for z in nb:
+                if z != x:
+                    out.append((x, y, z))
+    return tuple(out)
+
+
+def ref_legal_moves(g, c):
+    pegs = c.pegs
+    out = []
+    for y in g.vertices():
+        nb = g.adj[y]
+        py = pegs >> (y - 1) & 1
+        for x in nb:
+            px = pegs >> (x - 1) & 1
+            for z in nb:
+                if z == x:
+                    continue
+                pz = pegs >> (z - 1) & 1
+                if px and py and not pz:
+                    out.append(Move(JUMP, x, y, z))
+                elif not px and not py and pz:
+                    out.append(Move(UNJUMP, x, y, z))
+    return out
+
+
+def ref_explore(start, triples, visited):
+    visited[start] = 1
+    queue = deque((start,))
+    members = [start]
+    push = queue.append
+    while queue:
+        s = queue.popleft()
+        for mask, bx, by, bz in triples:
+            if s & bx:
+                if not (s & by) or (s & bz):
+                    continue
+            elif (s & by) or not (s & bz):
+                continue
+            t = s ^ mask
+            if not visited[t]:
+                visited[t] = 1
+                members.append(t)
+                push(t)
+    return members
+
+
+def ref_partition(g):
+    triples = ref_directed_triples(g)
+    visited = bytearray(1 << g.n)
+    blocks = []
+    for s in range(1 << g.n):
+        if not visited[s]:
+            blocks.append(frozenset(ref_explore(s, triples, visited)))
+    return tuple(blocks)
+
+
+def ref_witness_bfs(g, start):
+    triples = ref_directed_triples(g)
+    size = 1 << g.n
+    visited = bytearray(size)
+    parent_state = array("q", [-1]) * size
+    parent_triple = array("i", [-1]) * size
+    visited[start] = 1
+    queue = deque((start,))
+    while queue:
+        s = queue.popleft()
+        for idx, (mask, bx, by, bz) in enumerate(triples):
+            if s & bx:
+                if not (s & by) or (s & bz):
+                    continue
+            elif (s & by) or not (s & bz):
+                continue
+            t = s ^ mask
+            if not visited[t]:
+                visited[t] = 1
+                parent_state[t] = s
+                parent_triple[t] = idx
+                queue.append(t)
+    return visited, parent_state, parent_triple
+
+
+def ref_rebuild(g, start, target, parent_state, parent_triple):
+    moves_xyz = ref_triple_moves(g)
+    chain = []
+    t = target
+    while t != start:
+        s = parent_state[t]
+        x, y, z = moves_xyz[parent_triple[t]]
+        kind = JUMP if s >> (x - 1) & 1 else UNJUMP
+        chain.append(Move(kind, x, y, z))
+        t = s
+    chain.reverse()
+    return MoveSequence(Configuration(g.n, start), tuple(chain))
+
+
+def ref_min_unjumps(g, hole):
+    """(count, witness) or None."""
+    triples = ref_directed_triples(g)
+    size = 1 << g.n
+    INF = size + 1
+    dist = array("i", [INF]) * size
+    parent_state = array("q", [-1]) * size
+    parent_triple = array("i", [-1]) * size
+    start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
+    dist[start] = 0
+    dq = deque(((0, start),))
+    while dq:
+        d, s = dq.popleft()
+        if d > dist[s]:
+            continue
+        for idx, (mask, bx, by, bz) in enumerate(triples):
+            if s & bx:
+                if not (s & by) or (s & bz):
+                    continue
+                cost = 0
+            elif (s & by) or not (s & bz):
+                continue
+            else:
+                cost = 1
+            t = s ^ mask
+            nd = d + cost
+            if nd < dist[t]:
+                dist[t] = nd
+                parent_state[t] = s
+                parent_triple[t] = idx
+                if cost:
+                    dq.append((nd, t))
+                else:
+                    dq.appendleft((nd, t))
+    best = None
+    for v in range(1, g.n + 1):
+        mask = 1 << (v - 1)
+        if dist[mask] < INF and (best is None or dist[mask] < dist[best]):
+            best = mask
+    if best is None:
+        return None
+    return dist[best], ref_rebuild(g, start, best, parent_state, parent_triple)
+
+
+def ref_h_route(src, dst):
+    """Early-exit BFS over within-H moves; None when dst is unreachable."""
+    if src == dst:
+        return ()
+    g = h_graph()
+    parent = {src: None}
+    queue = deque((src,))
+    while queue:
+        s = queue.popleft()
+        c = Configuration(5, s)
+        for m in ref_legal_moves(g, c):
+            t = s ^ m.mask()
+            if t not in parent:
+                parent[t] = (s, m)
+                if t == dst:
+                    queue.clear()
+                    break
+                queue.append(t)
+    if dst not in parent:
+        return None
+    chain = []
+    t = dst
+    while t != src:
+        s, m = parent[t]
+        chain.append(m)
+        t = s
+    chain.reverse()
+    return tuple(chain)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+
+def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
+    """Compare every oracle search on g with the reference kernels.
+
+    `holes` and `pegs` limit the starts and witness targets (default: all).
+    """
+    blocks = ref_partition(g)
+    assert equivalence_partition(g).blocks == blocks
+    for b in blocks:
+        c = Configuration(g.n, min(b))
+        assert reachable_set(g, c) == frozenset(Configuration(g.n, m) for m in b)
+    rng = rng or random.Random(g.n)
+    for _ in range(20):
+        c = Configuration(g.n, rng.randrange(1 << g.n))
+        assert legal_moves(g, c) == ref_legal_moves(g, c)
+    full = (1 << g.n) - 1
+    for hole in holes or g.vertices():
+        start = full ^ (1 << (hole - 1))
+        visited, parent_state, parent_triple = ref_witness_bfs(g, start)
+        ends = frozenset(v for v in g.vertices() if visited[1 << (v - 1)])
+        res = solve_from(g, hole)
+        if not ends:
+            assert res is None
+        else:
+            assert res.end_pegs == ends
+            want = ref_rebuild(g, start, 1 << (min(ends) - 1), parent_state, parent_triple)
+            assert res.witness == want
+        for peg in pegs or g.vertices():
+            target = 1 << (peg - 1)
+            want = (ref_rebuild(g, start, target, parent_state, parent_triple)
+                    if visited[target] else None)
+            assert witness_to(g, hole, peg) == want
+        ref = ref_min_unjumps(g, hole)
+        got = min_unjumps(g, hole)
+        assert (None if got is None else (got.count, got.witness)) == ref
+
+
+def test_legal_moves_h():
+    g = h_graph()
+    for mask in range(32):
+        c = Configuration(5, mask)
+        assert legal_moves(g, c) == ref_legal_moves(g, c)
+
+
+def test_h_routes_all_pairs():
+    routed = 0
+    for src in range(32):
+        for dst in range(32):
+            want = ref_h_route(src, dst)
+            if want is None:
+                with pytest.raises(NotSameClass):
+                    h_route(src, dst)
+            else:
+                assert h_route(src, dst) == want
+                routed += 1
+    # two 14-state classes give 2 * 14 * 14 pairs; the four frozen states
+    # only route to themselves
+    assert routed == 2 * 14 * 14 + 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_all_labeled_graphs(n):
+    for g in labeled_connected_graphs(n):
+        assert_kernels_agree(g)
+
+
+def test_seeded_n6():
+    rng = random.Random(606)
+    for _ in range(100):
+        assert_kernels_agree(random_connected_graph(rng, 6, extra=rng.randint(0, 6)), rng=rng)
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+def test_seeded_larger(n):
+    rng = random.Random(700 + n)
+    g = random_connected_graph(rng, n, extra=rng.randint(1, 4))
+    if n <= 9:
+        assert_kernels_agree(g, rng=rng)
+    else:
+        holes = [rng.randint(1, n)]
+        pegs = rng.sample(range(1, n + 1), 2)
+        assert_kernels_agree(g, holes=holes, pegs=pegs, rng=rng)
+
+
+if __name__ == "__main__":
+    n = int(sys.argv[1])
+    count = 0
+    for graph in labeled_connected_graphs(n):
+        assert_kernels_agree(graph)
+        count += 1
+    print(f"n={n}: kernels agree on all {count} labeled connected graphs")
