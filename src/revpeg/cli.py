@@ -81,9 +81,12 @@ def _parse_bytes(text: str) -> int:
             t = t[: -len(suffix)]
             break
     try:
-        return int(float(t) * factor)
+        size = int(float(t) * factor)
     except (ValueError, OverflowError):
         raise UsageError(f"cannot parse byte size {text!r}")
+    if size <= 0:
+        raise UsageError(f"byte size must be positive, got {text!r}")
+    return size
 
 
 def load_graph_spec(spec: str) -> Graph:
@@ -267,8 +270,8 @@ def cmd_table(args, report: dict) -> int:
             "starts": sorted(v.admissible_starts),
             "ends": {str(h): sorted(v.end_pegs[h]) for h in sorted(v.end_pegs)},
         }
-        g = path_graph(n) if args.family == "path" else cycle_graph(n)
         try:
+            g = path_graph(n) if args.family == "path" else cycle_graph(n)
             cls = classify(g, args.memory_budget)
         except CapacityExceeded:
             row["oracle_verdict"] = None

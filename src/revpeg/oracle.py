@@ -1,17 +1,44 @@
 """Exhaustive ground-truth solver over the 2^n configuration space.
 
-States are raw peg bitmasks and transitions follow the move rule of
-``model``: on each ordered path triple, the jump and the unjump flip the
-same three bits, so a transition is "xor with the triple mask" guarded by
-the peg/hole pattern. Because every move is invertible, reachability is
-symmetric and reachable sets are exactly the equivalence classes of mutual
-reachability; classification exploits this by exploring each class once and
-reading off every one-hole start it contains.
+States are raw peg bitmasks. A set of states is one Python int with bit s
+set for each state s in it, and every search except ``min_unjumps`` is a
+breadth-first search over whole sets: the next frontier is
+``image(frontier) & ~seen``.
 
-One breadth-first kernel serves every search. It tags each state it reaches
-with the 1-based index of the triple whose move discovered it (a flat
-``array('I')``; 0 means unvisited). The predecessor is the state xor that
-triple's mask, so move sequences are rebuilt from the tags alone.
+The image rests on the "x != z" form of ``model``'s move rule. On a path
+x-y-z, the legal patterns of bits (x, y, z) are 110 and 001 (a jump and an
+unjump from x towards z) and 011 and 100 (the same from z towards x):
+exactly the four patterns in which bits x and z differ, and every legal
+move flips all three bits. For a state whose bits x and z differ, flipping
+both adds a constant, +-(2^(z-1) - 2^(x-1)), so the states of a set F with
+x = 1, z = 0 move together by one shift of F's int, and those with x = 0,
+z = 1 by the opposite shift. Flipping bit y afterwards is one more pair of
+shifts, applied once per centre y to the union over its neighbour pairs.
+The pieces are cut with the per-bit masks M_b, the set of states whose bit
+b is set; one ``_image`` serves every set search.
+
+Because every move is invertible, reachability is symmetric and reachable
+sets are exactly the equivalence classes of mutual reachability;
+classification explores each class once and reads off every one-hole start
+it contains.
+
+Witnesses are the ones a FIFO search over single states gives when it scans
+moves in ``path_triples`` order and keeps each state's first discoverer: of
+all fewest-move sequences, the one whose list of ``path_triples`` indices is
+lexicographically smallest. (By induction over levels: that search dequeues
+each level in the lexicographic order of its states' index lists, so each
+state inherits the smallest list of any predecessor.) ``_route`` keeps the
+levels L_0 .. L_D of the set search up to the target, narrows them backward
+to B_D = {target}, B_k = image(B_(k+1)) & L_k, the states of L_k on some
+fewest-move route, and walks forward from the start, taking at each step
+the first legal triple whose move lands in B_(k+1).
+
+``min_unjumps`` alone still searches one state at a time with a 0/1-cost
+deque (jumps free, unjumps cost one): its reported witness follows the
+deque's order, which a layered set search would not reproduce. The deque
+pops distances in nondecreasing order, so the search stops at the first
+distance beyond the best single-peg distance popped: every state at that
+distance or less is final by then, and with it the count and the witness.
 """
 
 from __future__ import annotations
@@ -37,10 +64,14 @@ from .model import (
 #: Default state-table budget: 2 GiB.
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
-# Rough bytes-per-state costs used for the up-front budget check: the 4-byte
-# tag table, member list and queue slack (plus the distance table of
-# min_unjumps). Reports show them as estimated_bytes, so they stay fixed
-# until they are re-measured.
+# Bytes-per-state costs used for the up-front budget check. They were
+# measured on the earlier per-state search (a 4-byte tag table, member list
+# and queue slack, plus the distance table of min_unjumps) and reports show
+# them as estimated_bytes, so they stay fixed. They remain an upper bound:
+# the set search holds about (2n + 8) * 2^n bits (n cached per-bit masks,
+# n per-bit slices of the frontier and a few working sets) plus one set
+# per BFS level; min_unjumps still holds its 4-byte tag and distance
+# tables.
 _BYTES_PER_STATE_SCAN = 24
 _BYTES_PER_STATE_WITNESS = 48
 
@@ -93,25 +124,6 @@ class EquivalencePartition:
         raise ValueError(f"mask {c.pegs} outside the partition")
 
 
-#: Tag of a search's start state: any nonzero value marks it visited.
-_START = 0xFFFFFFFF
-
-
-@lru_cache(maxsize=256)
-def _scan_table(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """(tag, mask, bx|by, bz) per path triple, tag = 1-based index into
-    path_triples(g).
-
-    The search loops test the move rule inline on this projection instead
-    of calling a helper: that saves a Python function call per triple in
-    the hot loop.
-    """
-    return tuple(
-        (tag, mask, on_jump, on_unjump)
-        for tag, (_, _, _, mask, on_jump, on_unjump) in enumerate(path_triples(g), 1)
-    )
-
-
 def estimate_state_bytes(n: int, witness: bool = False) -> int:
     per_state = _BYTES_PER_STATE_WITNESS if witness else _BYTES_PER_STATE_SCAN
     return (1 << n) * per_state
@@ -127,51 +139,113 @@ def check_budget(n: int, memory_budget: int | None, witness: bool = False) -> No
         )
 
 
-def _new_tags(n: int) -> array:
-    return array("I", bytes(4 << n))
+# ---------------------------------------------------------------------------
+# State sets
+# ---------------------------------------------------------------------------
 
 
-def _search(start: int, table, tags: array) -> list[int]:
-    """FIFO breadth-first search from `start` over untagged states.
+@lru_cache(maxsize=4)
+def _bit_masks(n: int) -> tuple[int, ...]:
+    """M_b for b = 0 .. n-1: the set of the 2^n states whose bit b is set.
 
-    Tags every newly reached state with the triple that discovered it and
-    returns the class members in discovery order. `tags` may be shared
-    across calls, so each class is explored once.
+    Built by repeating a byte pattern and one ``int.from_bytes``, which is
+    linear in 2^n; building it by big-int division is quadratic.
     """
-    tags[start] = _START
-    members = [start]
-    push = members.append
-    # members doubles as the FIFO queue: list iteration also visits the
-    # items appended while it runs.
-    for s in members:
-        for tag, mask, on_jump, on_unjump in table:
-            on = s & mask
-            if on == on_jump or on == on_unjump:
-                t = s ^ mask
-                if not tags[t]:
-                    tags[t] = tag
-                    push(t)
-    return members
+    nbytes = max(1, (1 << n) >> 3)
+    every_state = (1 << (1 << n)) - 1  # trims the byte for n < 3
+    masks = []
+    for b in range(n):
+        if b < 3:
+            data = bytes((0xAA, 0xCC, 0xF0)[b : b + 1]) * nbytes
+        else:
+            half = 1 << (b - 3)
+            data = (bytes(half) + b"\xff" * half) * (nbytes // (2 * half))
+        masks.append(int.from_bytes(data, "little") & every_state)
+    return tuple(masks)
 
 
-def _rebuild(g: Graph, start: int, target: int, tags: array) -> MoveSequence:
-    """Walk the tags back from `target` to `start` into a move sequence."""
+@lru_cache(maxsize=256)
+def _centres(g: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
+    """(y - 1, 2^(y-1), pairs) per vertex y with two or more neighbours,
+    where pairs holds (x - 1, z - 1, 2^(z-1) - 2^(x-1)) per neighbour pair
+    x < z: the unordered path triples centred at y."""
+    out = []
+    for y in g.vertices():
+        nb = g.adj[y]
+        if len(nb) >= 2:
+            pairs = tuple(
+                (x - 1, z - 1, (1 << (z - 1)) - (1 << (x - 1)))
+                for i, x in enumerate(nb)
+                for z in nb[i + 1 :]
+            )
+            out.append((y - 1, 1 << (y - 1), pairs))
+    return tuple(out)
+
+
+def _image(states: int, g: Graph) -> int:
+    """The set of states one legal move away from some state in `states`."""
+    masks = _bit_masks(g.n)
+    on = [states & m for m in masks]  # on[b]: the states with bit b set
+    out = 0
+    for y, y_shift, pairs in _centres(g):
+        flipped = 0  # the movable states with bits x and z flipped
+        for x, z, shift in pairs:
+            both = on[x] & masks[z]
+            flipped |= (on[x] ^ both) << shift | (on[z] ^ both) >> shift
+        up = flipped & masks[y]
+        out |= up >> y_shift | (flipped ^ up) << y_shift
+    return out
+
+
+def _has(states: int, s: int) -> bool:
+    return bool(states >> s & 1)
+
+
+def _members(states: int) -> list[int]:
+    """The states of a set, ascending."""
+    bits = format(states, "b")[::-1]  # character i is bit i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def _levels(g: Graph, start: int, target: int | None = None) -> tuple[list[int], int]:
+    """Breadth-first search over state sets from state `start`: the levels
+    L_0 = {start}, L_1, ... up to the first that holds `target` (all of them
+    when target is None or unreachable), and their union, the states
+    reached."""
+    levels = [1 << start]
+    seen = levels[0]
+    while target is None or not _has(levels[-1], target):
+        frontier = _image(levels[-1], g) & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        levels.append(frontier)
+    return levels, seen
+
+
+def _route(g: Graph, start: int, target: int, levels: list[int]) -> MoveSequence:
+    """The lexicographically first fewest-move sequence from `start` to
+    `target`, given the BFS levels from `start` up to the one holding
+    `target`. Narrows the levels in place."""
+    levels[-1] = 1 << target
+    for k in range(len(levels) - 2, -1, -1):
+        levels[k] &= _image(levels[k + 1], g)
     triples = path_triples(g)
     chain = []
-    t = target
-    while t != start:
-        x, y, z, mask, on_jump, _ = triples[tags[t] - 1]
-        t ^= mask
-        chain.append(Move(JUMP if t & mask == on_jump else UNJUMP, x, y, z))
-    chain.reverse()
+    s = start
+    for on_route in levels[1:]:
+        for x, y, z, mask, on_jump, on_unjump in triples:
+            on = s & mask
+            if (on == on_jump or on == on_unjump) and _has(on_route, s ^ mask):
+                chain.append(Move(JUMP if on == on_jump else UNJUMP, x, y, z))
+                s ^= mask
+                break
     return MoveSequence(Configuration(g.n, start), tuple(chain))
-
-
-def _witness_tags(g: Graph, start: int, memory_budget: int | None) -> array:
-    check_budget(g.n, memory_budget, witness=True)
-    tags = _new_tags(g.n)
-    _search(start, _scan_table(g), tags)
-    return tags
 
 
 def shortest_route(
@@ -179,8 +253,9 @@ def shortest_route(
 ) -> MoveSequence | None:
     """Fewest-moves sequence from peg mask `src` to peg mask `dst`, or None
     when `dst` is not reachable."""
-    tags = _witness_tags(g, src, memory_budget)
-    return _rebuild(g, src, dst, tags) if tags[dst] else None
+    check_budget(g.n, memory_budget, witness=True)
+    levels, _ = _levels(g, src, dst)
+    return _route(g, src, dst, levels) if _has(levels[-1], dst) else None
 
 
 def reachable_set(
@@ -190,21 +265,34 @@ def reachable_set(
     if c.n != g.n:
         raise PreconditionFailed("configuration and graph sizes differ")
     check_budget(g.n, memory_budget)
-    members = _search(c.pegs, _scan_table(g), _new_tags(g.n))
-    return frozenset(Configuration(g.n, m) for m in members)
+    return frozenset(Configuration(g.n, m) for m in _members(_levels(g, c.pegs)[1]))
 
 
 def equivalence_partition(
     g: Graph, memory_budget: int | None = None
 ) -> EquivalencePartition:
-    """Partition all 2^n configurations by mutual reachability."""
+    """Partition all 2^n configurations by mutual reachability.
+
+    A state without a legal move is a block of its own and needs no search,
+    so the sweep stays linear in 2^n even when most states are frozen.
+    """
     check_budget(g.n, memory_budget)
-    table = _scan_table(g)
-    tags = _new_tags(g.n)
+    masks = _bit_masks(g.n)
+    movable = 0
+    for _, _, pairs in _centres(g):
+        for x, z, _ in pairs:
+            movable |= masks[x] ^ masks[z]
+    # character s is "1" when state s has a legal move
+    movable = format(movable, "b")[::-1].ljust(1 << g.n, "0")
+    placed = bytearray(1 << g.n)
     blocks = []
-    for s in range(1 << g.n):
-        if not tags[s]:
-            blocks.append(frozenset(_search(s, table, tags)))
+    s = 0
+    while s >= 0:
+        members = _members(_levels(g, s)[1]) if movable[s] == "1" else [s]
+        for m in members:
+            placed[m] = 1
+        blocks.append(frozenset(members))
+        s = placed.find(0, s + 1)
     return EquivalencePartition(g.n, tuple(blocks))
 
 
@@ -225,13 +313,15 @@ def solve_from(
         raise DisconnectedGraph("solve_from requires a connected graph")
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    check_budget(g.n, memory_budget, witness=True)
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    tags = _witness_tags(g, start, memory_budget)
-    end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if tags[mask])
+    levels, seen = _levels(g, start)
+    end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if _has(seen, mask))
     if not end_pegs:
         return None
     target = 1 << (min(end_pegs) - 1)
-    return SolveResult(end_pegs, _rebuild(g, start, target, tags))
+    depth = next(k for k, level in enumerate(levels) if _has(level, target))
+    return SolveResult(end_pegs, _route(g, start, target, levels[: depth + 1]))
 
 
 def witness_to(
@@ -258,22 +348,17 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
     if not is_connected(g):
         raise DisconnectedGraph("classify requires a connected graph")
     check_budget(g.n, memory_budget)
-    table = _scan_table(g)
-    tags = _new_tags(g.n)
     full = (1 << g.n) - 1
+    singles = _single_peg_states(g.n)
     matrix: dict[int, frozenset[int]] = {}
     for h in range(1, g.n + 1):
         if h in matrix:
             continue  # class containing this start was already swept
-        s0 = full ^ (1 << (h - 1))
-        members = _search(s0, table, tags)
-        pegs = frozenset(
-            mask.bit_length() for mask in members if mask and not mask & (mask - 1)
-        )
-        for m in members:
-            holes = full ^ m
-            if holes and not holes & (holes - 1):
-                matrix[holes.bit_length()] = pegs
+        _, members = _levels(g, full ^ (1 << (h - 1)))
+        pegs = frozenset(v for mask, v in singles if _has(members, mask))
+        for mask, v in singles:
+            if _has(members, full ^ mask):
+                matrix[v] = pegs
     full_set = frozenset(range(1, g.n + 1))
     if all(not v for v in matrix.values()):
         verdict = Verdict.NOT_SOLVABLE
@@ -284,6 +369,47 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
     else:
         verdict = Verdict.SOLVABLE
     return Classification(verdict, matrix)
+
+
+# ---------------------------------------------------------------------------
+# min_unjumps: one state at a time
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _scan_table(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
+    """(tag, mask, bx|by, bz) per path triple, tag = 1-based index into
+    path_triples(g).
+
+    The search loop tests the move rule inline on this projection instead
+    of calling a helper: that saves a Python function call per triple in
+    the hot loop.
+    """
+    return tuple(
+        (tag, mask, on_jump, on_unjump)
+        for tag, (_, _, _, mask, on_jump, on_unjump) in enumerate(path_triples(g), 1)
+    )
+
+
+def _new_tags(n: int) -> array:
+    return array("I", bytes(4 << n))
+
+
+def _rebuild(g: Graph, start: int, target: int, tags: array) -> MoveSequence:
+    """Walk the tags back from `target` to `start` into a move sequence.
+
+    tags[t] is the 1-based path_triples index of the move that last
+    improved t; its predecessor is t xor that triple's mask.
+    """
+    triples = path_triples(g)
+    chain = []
+    t = target
+    while t != start:
+        x, y, z, mask, on_jump, _ = triples[tags[t] - 1]
+        t ^= mask
+        chain.append(Move(JUMP if t & mask == on_jump else UNJUMP, x, y, z))
+    chain.reverse()
+    return MoveSequence(Configuration(g.n, start), tuple(chain))
 
 
 def min_unjumps(
@@ -308,10 +434,15 @@ def min_unjumps(
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
     dist[start] = 0
     dq = deque(((0, start),))
+    best = INF  # fewest unjumps to a single peg popped so far
     while dq:
         d, s = dq.popleft()
+        if d > best:
+            break  # every state at distance <= best is final
         if d > dist[s]:
             continue
+        if s and not s & (s - 1):
+            best = d
         for tag, mask, on_jump, on_unjump in table:
             on = s & mask
             if on == on_jump:

@@ -173,6 +173,18 @@ class TestTable:
             assert rows[n]["verdict"] == "NotSolvable"
         assert rows[8]["verdict"] == "DoublyFreelySolvable"
 
+    def test_rows_past_the_vertex_cap(self, capsys):
+        # the closed forms need no graph, so rows past 64 vertices report
+        # only the oracle as unavailable
+        code, rep = run_cli(
+            capsys, "--memory-budget", "1M", "table", "--family", "path", "--max-n", "66"
+        )
+        assert code == 0
+        rows = rep["results"]["rows"]
+        assert [r["n"] for r in rows] == list(range(2, 67))
+        assert rows[-1]["oracle_verdict"] is None and rows[-1]["match"] is None
+        assert rows[-1]["verdict"] == "Solvable"
+
 
 class TestMismatchContracts:
     def test_table_row_mismatch_forces_exit_2(self, capsys, monkeypatch):
@@ -271,6 +283,11 @@ class TestBadInputs:
     def test_infinite_memory_budget(self, capsys):
         assert main(["--memory-budget", "inf", "classify", "path:4"]) == 1
         assert "byte size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_memory_budget(self, capsys, budget):
+        assert main(["--memory-budget", budget, "classify", "H"]) == 1
+        assert "must be positive" in capsys.readouterr().err
 
     def test_verify_missing_witness_file(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json"), "path:3"]) == 1

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -10,7 +12,7 @@ from revpeg.families import (
     paw_graph,
     star_graph,
 )
-from revpeg.model import JUMP, Configuration, Graph, MoveSequence, replay
+from revpeg.model import JUMP, Configuration, Graph, MoveSequence, legal_moves, replay
 from revpeg.oracle import (
     Verdict,
     classify,
@@ -20,6 +22,7 @@ from revpeg.oracle import (
     solve_from,
     witness_to,
 )
+from revpeg.oracle import _bit_masks, _image, _members
 
 from conftest import random_connected_graph
 
@@ -83,6 +86,43 @@ def naive_partition(n, edges):
                 done |= blk
                 blocks.append(blk)
     return blocks
+
+
+class TestStateSets:
+    """The set-at-a-time primitives against state-by-state brute force."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_masks(self, n):
+        want = [sum(1 << s for s in range(1 << n) if s >> b & 1) for b in range(n)]
+        assert list(_bit_masks(n)) == want
+
+    def test_members_round_trip(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            states = sorted(rng.sample(range(1 << 9), rng.randint(0, 40)))
+            assert _members(sum(1 << s for s in states)) == states
+
+    def test_image_matches_ordered_triple_rule(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            g = Graph(n, [e for e in pairs if rng.random() < 0.4])
+            states = rng.sample(range(1 << n), rng.randint(0, 1 << n))
+            want = {
+                s ^ m.mask()
+                for s in states
+                for m in legal_moves(g, Configuration(n, s))
+            }
+            got = _image(sum(1 << s for s in states), g)
+            assert _members(got) == sorted(want), (g.sorted_edges(), states)
+
+    def test_edgeless_partition_is_fast(self):
+        t0 = time.perf_counter()
+        part = equivalence_partition(Graph(12, []))
+        elapsed = time.perf_counter() - t0
+        assert part.blocks == tuple(frozenset([s]) for s in range(1 << 12))
+        assert elapsed < 1.0
 
 
 class TestReachableSet:
