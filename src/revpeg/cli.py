@@ -216,6 +216,11 @@ def cmd_solve(args, report: dict) -> int:
             if g.n >= 4 and is_star_shape(g):
                 results["reason"] = "stars are not solvable"
             elif args.target is not None:
+                if g.max_degree() < 3:
+                    raise UsageError(
+                        "--target with --method constructive needs a vertex of "
+                        "degree >= 3; use --method oracle"
+                    )
                 seq = solve_constructive_to(g, args.hole, args.target)
             else:
                 seq = census_mod.line_solver_witness(g, args.hole)

@@ -2,12 +2,24 @@
 
 The general routine works on a spanning tree containing a degree-3 vertex,
 fixes an embedded copy of H there, shifts the start hole onto H, then
-repeatedly absorbs the outside peg closest to H while keeping the H
+absorbs the outside pegs, closest to H first, while keeping the H
 restriction inside class A or B. Every absorption picks a staging
 configuration (equivalent within the current class) chosen by which H
 vertex the peg approaches and at what distance, then carries the peg in
 with a single 4-path macro. When no outside pegs remain, a last within-H
 walk parks the final peg on the class representative.
+
+The working tree, the embedding, the BFS from H and the absorption order
+depend only on the graph and are built once per graph (``_frame``, cached
+like ``model.path_triples``). The order, the non-H vertices by (distance to
+H, vertex), is fixed in advance: after the hole shift every vertex outside
+H holds a peg, and each absorption removes exactly the chosen peg from
+outside H (checked), so the closest remaining outside peg is always the
+next vertex of the order. A solve thus runs no search of its own and costs
+O(n + moves). It runs on the int peg mask, checks each move with model's
+rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs pattern
+is that rule for both of its moves), and builds ``Configuration`` objects
+only at phase boundaries; the public step functions wrap the same kernels.
 
 Paths and cycles have no degree-3 vertex and get dedicated routines built
 from the classical even-path jump sweep plus hole shifting; cycles reduce
@@ -18,9 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     EmbeddingNotFound,
+    IllegalMove,
     InvariantViolation,
     NotDoublyFree,
     NotSolvableStart,
@@ -28,7 +42,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .families import is_star_shape
-from .hclasses import HClass, LETTERS, h_class_of, h_route
+from .hclasses import HClass, LETTERS, h_class_of, h_route, letter_mask
 from .invariants import classify_path, classify_cycle, doubly_free_predicate
 from .model import (
     JUMP,
@@ -77,14 +91,58 @@ class HEmbedding:
 
     def mask_of(self, c: Configuration) -> int:
         """The restriction of a configuration to H, as a 5-bit abstract mask."""
-        m = 0
-        for i, v in enumerate(self.vertices):
-            if c.has_peg(v):
-                m |= 1 << i
-        return m
+        return _h_bits(self.vertices, c.pegs)
 
-    def pegs_from_letters(self, letters: str) -> frozenset[int]:
-        return frozenset(self.vertex(ch) for ch in letters)
+
+def _h_bits(vs: tuple[int, ...], pegs: int) -> int:
+    """The abstract 5-bit H mask (bit i for letter i) of the pegs that sit
+    on the embedded H vertices ``vs``."""
+    m = 0
+    for i, v in enumerate(vs):
+        if pegs >> (v - 1) & 1:
+            m |= 1 << i
+    return m
+
+
+# ---------------------------------------------------------------------------
+# Move kernels on the int peg mask
+# ---------------------------------------------------------------------------
+
+
+def _p4(pegs: int, path, moves: list[Move]) -> int:
+    """The 4-path macro on a peg mask: append its two moves to ``moves`` and
+    return the new mask. Both moves are legal exactly when the path holds a
+    peg and three holes, or a hole and three pegs; either way the macro
+    flips the two endpoints."""
+    v0, v1, v2, v3 = path
+    b0, b3 = 1 << (v0 - 1), 1 << (v3 - 1)
+    inner = (1 << (v1 - 1)) | (1 << (v2 - 1))
+    state = pegs & (b0 | inner | b3)
+    if state == b0:
+        moves += (Move(UNJUMP, v2, v1, v0), Move(JUMP, v1, v2, v3))
+    elif state == inner | b3:
+        moves += (Move(JUMP, v2, v1, v0), Move(UNJUMP, v1, v2, v3))
+    else:
+        states = tuple(bool(pegs >> (v - 1) & 1) for v in path)
+        raise PatternMismatch(
+            f"path {tuple(path)} holds pegs {states}; need peg+3 holes or hole+3 pegs"
+        )
+    return pegs ^ b0 ^ b3
+
+
+def _within_h(vs: tuple[int, ...], pegs: int, dst: int, moves: list[Move]) -> int:
+    """Walk the H restriction of ``pegs`` to the abstract mask ``dst`` along
+    ``h_route``, on the embedded H vertices ``vs``; append the moves and
+    return the new mask. Raises NotSameClass across classes."""
+    for r in h_route(_h_bits(vs, pegs), dst):
+        m = Move(r.kind, vs[r.x - 1], vs[r.y - 1], vs[r.z - 1])
+        mask = m.mask()
+        bz = 1 << (m.z - 1)
+        if pegs & mask != (mask ^ bz if m.kind is JUMP else bz):
+            raise IllegalMove(f"{m}: peg/hole pattern does not match")
+        pegs ^= mask
+        moves.append(m)
+    return pegs
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +166,9 @@ def p4_move(
     for u, w in ((v0, v1), (v1, v2), (v2, v3)):
         if not g.has_edge(u, w):
             raise PatternMismatch(f"{u}-{w} is not an edge; {path} is not a 4-path")
-    states = tuple(c.has_peg(v) for v in path)
-    if states == (True, False, False, False):
-        moves = (Move(UNJUMP, v2, v1, v0), Move(JUMP, v1, v2, v3))
-    elif states == (False, True, True, True):
-        moves = (Move(JUMP, v2, v1, v0), Move(UNJUMP, v1, v2, v3))
-    else:
-        raise PatternMismatch(
-            f"path {path} holds pegs {states}; need peg+3 holes or hole+3 pegs"
-        )
-    out = apply_move(apply_move(c, moves[0], g), moves[1], g)
-    return out, moves
+    moves: list[Move] = []
+    pegs = _p4(c.pegs, path, moves)
+    return Configuration(c.n, pegs), (moves[0], moves[1])
 
 
 # ---------------------------------------------------------------------------
@@ -200,52 +250,15 @@ def transform_within_h(
     stray = target - set(emb.vertices)
     if stray:
         raise PreconditionFailed(f"target pegs {sorted(stray)} are outside H")
-    src = emb.mask_of(c)
-    dst = 0
-    for i, v in enumerate(emb.vertices):
-        if v in target:
-            dst |= 1 << i
-    route = h_route(src, dst)
-    moves = tuple(
-        Move(m.kind, emb.vertices[m.x - 1], emb.vertices[m.y - 1], emb.vertices[m.z - 1])
-        for m in route
-    )
-    out = c
-    for m in moves:
-        out = apply_move(out, m)
-    return out, MoveSequence(c, moves)
+    dst = _h_bits(emb.vertices, sum(1 << (v - 1) for v in target))
+    moves: list[Move] = []
+    pegs = _within_h(emb.vertices, c.pegs, dst, moves)
+    return Configuration(c.n, pegs), MoveSequence(c, tuple(moves))
 
 
 # ---------------------------------------------------------------------------
 # Routing toward H inside the tree
 # ---------------------------------------------------------------------------
-
-
-def _bfs_to_h(tree: Graph, emb: HEmbedding):
-    """Multi-source BFS from H in letter order a..e.
-
-    Returns (dist, toward, attach): `toward[v]` is the next vertex on the
-    unique tree path from v to H and `attach[v]` the H vertex it reaches;
-    equidistant vertices are claimed by the earlier letter.
-    """
-    dist = [-1] * (tree.n + 1)
-    toward = [0] * (tree.n + 1)
-    attach = [0] * (tree.n + 1)
-    queue = deque()
-    for v in emb.vertices:
-        dist[v] = 0
-        attach[v] = v
-        queue.append(v)
-    h_set = set(emb.vertices)
-    while queue:
-        u = queue.popleft()
-        for w in tree.adj[u]:
-            if dist[w] == -1 and w not in h_set:
-                dist[w] = dist[u] + 1
-                toward[w] = u
-                attach[w] = attach[u]
-                queue.append(w)
-    return dist, toward, attach
 
 
 def _path_toward_h(toward, v: int, steps: int) -> list[int]:
@@ -254,6 +267,64 @@ def _path_toward_h(toward, v: int, steps: int) -> list[int]:
         v = toward[v]
         out.append(v)
     return out
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """What a constructive solve needs that depends only on the working tree
+    and the H embedding: the BFS from H (`dist`, `toward`, `attach`), the
+    mask of the H vertices, and the absorption order, the non-H vertices
+    sorted by (dist, vertex)."""
+
+    emb: HEmbedding
+    dist: tuple[int, ...]
+    toward: tuple[int, ...]
+    attach: tuple[int, ...]
+    h_mask: int
+    order: tuple[int, ...]
+
+
+def _build_frame(t: WorkingTree, emb: HEmbedding) -> _Frame:
+    """Multi-source BFS from H in letter order a..e over the tree, so that
+    `toward[v]` is the next vertex on the unique tree path from v to H,
+    `attach[v]` the H vertex it reaches (equidistant vertices are claimed by
+    the earlier letter); then the absorption order by bucketing on `dist`."""
+    tree = t.tree
+    a, b, c, d, e = vs = emb.vertices
+    if len(set(vs)) != 5 or not all(
+        tree.has_edge(u, w) for u, w in ((a, c), (b, c), (c, d), (d, e))
+    ):
+        raise PreconditionFailed(f"{emb} is not an embedded H in the working tree")
+    dist = [-1] * (tree.n + 1)
+    toward = [0] * (tree.n + 1)
+    attach = [0] * (tree.n + 1)
+    for v in vs:
+        dist[v] = 0
+        attach[v] = v
+    queue = deque(vs)
+    while queue:
+        u = queue.popleft()
+        for w in tree.adj[u]:
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                toward[w] = u
+                attach[w] = attach[u]
+                queue.append(w)
+    buckets: list[list[int]] = [[] for _ in range(max(dist) + 1)]
+    for v in tree.vertices():  # ascending, so each bucket is sorted
+        if dist[v] < 0:
+            raise PreconditionFailed(f"vertex {v} is not connected to H in the working tree")
+        buckets[dist[v]].append(v)
+    order = tuple(v for bucket in buckets[1:] for v in bucket)
+    h_mask = sum(1 << (v - 1) for v in vs)
+    return _Frame(emb, tuple(dist), tuple(toward), tuple(attach), h_mask, order)
+
+
+@lru_cache(maxsize=256)
+def _frame(g: Graph) -> _Frame:
+    """The frame of g's working tree and H embedding, built once per graph."""
+    t = find_spanning_tree(g)
+    return _build_frame(t, find_h_embedding(t))
 
 
 # Entry tables for carrying a peg at distance r from its nearest H vertex
@@ -289,37 +360,70 @@ _HOLE_ENTRY = {
 }
 
 
-def shift_hole_onto_h(
-    t: WorkingTree, emb: HEmbedding, c: Configuration
-) -> tuple[Configuration, MoveSequence]:
-    """Walk the unique hole of an all-pegs-but-one configuration onto H."""
-    holes = c.hole_vertices()
-    if len(holes) != 1:
-        raise PreconditionFailed("expected exactly one hole")
-    hole = holes[0]
-    if hole in emb.vertices:
-        return c, MoveSequence(c, ())
-    tree = t.tree
-    dist, toward, attach = _bfs_to_h(tree, emb)
-    moves: list[Move] = []
-    cur = c
-    k = dist[hole]
-    w = attach[hole]
+def _shift_hole(f: _Frame, pegs: int, hole: int, moves: list[Move]) -> int:
+    """Walk the lone hole of ``pegs`` onto H; a no-op when it is on H."""
+    if f.h_mask >> (hole - 1) & 1:
+        return pegs
+    emb, toward = f.emb, f.toward
+    k = f.dist[hole]
+    w = f.attach[hole]
     while k >= 3:
-        path = tuple(_path_toward_h(toward, hole, 3))
-        cur, pair = p4_move(tree, cur, path)  # hole case: hole travels 3 inward
-        moves += pair
+        path = _path_toward_h(toward, hole, 3)
+        pegs = _p4(pegs, path, moves)  # hole case: hole travels 3 inward
         hole = path[3]
         k -= 3
     if k:
         prefix = _path_toward_h(toward, hole, k - 1)
         suffix = [emb.vertex(ch) for ch in _HOLE_ENTRY[(emb.letter(w), k)]]
-        path = tuple(prefix + suffix)
-        cur, pair = p4_move(tree, cur, path)
-        moves += pair
-    if all(v not in emb.vertices for v in cur.hole_vertices()):
+        pegs = _p4(pegs, prefix + suffix, moves)
+    if not f.h_mask & ~pegs:
         raise InvariantViolation("hole failed to land on H")
-    return cur, MoveSequence(c, tuple(moves))
+    return pegs
+
+
+def _absorb(f: _Frame, pegs: int, peg: int, moves: list[Move]) -> int:
+    """Carry the outside peg on ``peg`` into H, keeping the H restriction in
+    class A or B; append the moves and return the new mask."""
+    emb, toward = f.emb, f.toward
+    vs = emb.vertices
+    before_class = h_class_of(_h_bits(vs, pegs))
+    if before_class not in (HClass.A, HClass.B):
+        raise PreconditionFailed(f"H restriction is {before_class.value}, need A or B")
+    outside = (pegs & ~f.h_mask).bit_count()
+    k = f.dist[peg]
+    if any(pegs >> (u - 1) & 1 for u in _path_toward_h(toward, peg, k - 1)[1:]):
+        raise PreconditionFailed("a closer peg sits between the chosen peg and H")
+    while k > 3:
+        path = _path_toward_h(toward, peg, 3)
+        pegs = _p4(pegs, path, moves)  # peg case: peg travels 3 inward
+        peg = path[3]
+        k -= 3
+    # The march stays outside H, so the class is still before_class.
+    stage_letters, entry_letters = _ABSORB[(emb.letter(f.attach[peg]), before_class)][k]
+    pegs = _within_h(vs, pegs, letter_mask(stage_letters), moves)
+    prefix = _path_toward_h(toward, peg, k - 1)
+    suffix = [emb.vertex(ch) for ch in entry_letters]
+    pegs = _p4(pegs, prefix + suffix, moves)
+    after_class = h_class_of(_h_bits(vs, pegs))
+    if after_class not in (HClass.A, HClass.B):
+        raise InvariantViolation(
+            f"absorption left H in {after_class.value}; expected class A or B"
+        )
+    if (pegs & ~f.h_mask).bit_count() != outside - 1:
+        raise InvariantViolation("absorption did not remove exactly one outside peg")
+    return pegs
+
+
+def shift_hole_onto_h(
+    t: WorkingTree, emb: HEmbedding, c: Configuration
+) -> tuple[Configuration, MoveSequence]:
+    """Walk the unique hole of an all-pegs-but-one configuration onto H."""
+    holes = ((1 << c.n) - 1) ^ c.pegs
+    if not holes or holes & (holes - 1):
+        raise PreconditionFailed("expected exactly one hole")
+    moves: list[Move] = []
+    pegs = _shift_hole(_build_frame(t, emb), c.pegs, holes.bit_length(), moves)
+    return Configuration(c.n, pegs), MoveSequence(c, tuple(moves))
 
 
 def absorb_nearest_peg(
@@ -333,46 +437,14 @@ def absorb_nearest_peg(
     class per the attachment vertex and distance, and one final macro
     carries the peg in.
     """
-    h_set = set(emb.vertices)
-    before_class = h_class_of(emb.mask_of(c))
-    if before_class not in (HClass.A, HClass.B):
-        raise PreconditionFailed(f"H restriction is {before_class.value}, need A or B")
-    outside = [v for v in c.peg_vertices() if v not in h_set]
+    f = _build_frame(t, emb)
+    outside = c.pegs & ~f.h_mask
     if not outside:
         raise PreconditionFailed("no pegs outside H")
-    tree = t.tree
-    dist, toward, attach = _bfs_to_h(tree, emb)
-    peg = min(outside, key=lambda v: (dist[v], v))
-    for v in _path_toward_h(toward, peg, dist[peg] - 1)[1:]:
-        if c.has_peg(v):
-            raise PreconditionFailed("a closer peg sits between the chosen peg and H")
+    peg = next(v for v in f.order if outside >> (v - 1) & 1)
     moves: list[Move] = []
-    cur = c
-    k = dist[peg]
-    while k > 3:
-        path = tuple(_path_toward_h(toward, peg, 3))
-        cur, pair = p4_move(tree, cur, path)  # peg case: peg travels 3 inward
-        moves += pair
-        peg = path[3]
-        k -= 3
-    w_letter = emb.letter(attach[peg])
-    stage_letters, entry_letters = _ABSORB[(w_letter, h_class_of(emb.mask_of(cur)))][k]
-    cur, staging = transform_within_h(emb, cur, emb.pegs_from_letters(stage_letters))
-    moves += staging.moves
-    prefix = _path_toward_h(toward, peg, k - 1)
-    suffix = [emb.vertex(ch) for ch in entry_letters]
-    path = tuple(prefix + suffix)
-    cur, pair = p4_move(tree, cur, path)
-    moves += pair
-    after_class = h_class_of(emb.mask_of(cur))
-    if after_class not in (HClass.A, HClass.B):
-        raise InvariantViolation(
-            f"absorption left H in {after_class.value}; expected class A or B"
-        )
-    outside_after = sum(1 for v in cur.peg_vertices() if v not in h_set)
-    if outside_after != len(outside) - 1:
-        raise InvariantViolation("absorption did not remove exactly one outside peg")
-    return cur, MoveSequence(c, tuple(moves))
+    pegs = _absorb(f, c.pegs, peg, moves)
+    return Configuration(c.n, pegs), MoveSequence(c, tuple(moves))
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +483,18 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
         )
     if g.n == 4:
         return _solve_paw_four(g, hole)
-    t = find_spanning_tree(g)
-    emb = find_h_embedding(t)
+    f = _frame(g)
     start = Configuration.with_hole(g.n, hole)
     moves: list[Move] = []
-    cur, seq = shift_hole_onto_h(t, emb, start)
-    moves += seq.moves
-    h_set = set(emb.vertices)
-    while any(v not in h_set for v in cur.peg_vertices()):
-        cur, seq = absorb_nearest_peg(t, emb, cur)
-        moves += seq.moves
-    rep = "a" if h_class_of(emb.mask_of(cur)) is HClass.A else "c"
-    cur, seq = transform_within_h(emb, cur, {emb.vertex(rep)})
-    moves += seq.moves
-    if cur.peg_count() != 1:
+    pegs = _shift_hole(f, start.pegs, hole, moves)
+    for v in f.order:
+        pegs = _absorb(f, pegs, v, moves)
+    if pegs & ~f.h_mask:
+        raise InvariantViolation("pegs are left outside H after the absorptions")
+    vs = f.emb.vertices
+    rep = "a" if h_class_of(_h_bits(vs, pegs)) is HClass.A else "c"
+    pegs = _within_h(vs, pegs, letter_mask(rep), moves)
+    if pegs.bit_count() != 1:
         raise InvariantViolation("constructive solve did not end at one peg")
     return MoveSequence(start, tuple(moves))
 
@@ -483,10 +553,9 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
             "all degree-3 vertices sit at mutual path lengths divisible by 3"
         )
     seq = solve_constructive(g, hole)
-    cur = seq.start
-    for m in seq.moves:
-        cur = apply_move(cur, m)
-    peg = cur.peg_vertices()[0]
+    # The solve ends on one peg, so its last move is a jump (an unjump
+    # leaves pegs on both x and y), and a jump lands on z.
+    peg = seq.moves[-1].z
     if peg == target:
         return seq
     hops = _lone_peg_hops(g)
@@ -510,15 +579,14 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
         v = u
     chain.reverse()
     moves = list(seq.moves)
+    pegs = 1 << (peg - 1)
     for label in chain:
         if label[0] == "p4":
-            cur, pair = p4_move(g, cur, label[1])
-            moves += pair
+            pegs = _p4(pegs, label[1], moves)
         else:
             _, emb, w = label
-            cur, sub = transform_within_h(emb, cur, {w})
-            moves += sub.moves
-    if cur.peg_vertices() != (target,):
+            pegs = _within_h(emb.vertices, pegs, _h_bits(emb.vertices, 1 << (w - 1)), moves)
+    if Configuration(g.n, pegs).peg_vertices() != (target,):
         raise InvariantViolation("routing did not end on the requested target")
     return MoveSequence(seq.start, tuple(moves))
 

@@ -118,6 +118,14 @@ class TestSolve:
         assert rep["results"]["solvable"] is False
         assert "doubly" in rep["results"]["reason"]
 
+    @pytest.mark.parametrize("spec", ["path:6", "cycle:6"])
+    def test_constructive_target_without_degree_3_vertex(self, capsys, spec):
+        code = main(["solve", spec, "--hole", "2", "--target", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--method oracle" in captured.err
+
 
 class TestVerify:
     def test_valid_witness(self, capsys, tmp_path):
