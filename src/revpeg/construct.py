@@ -51,7 +51,6 @@ from .model import (
     Graph,
     Move,
     MoveSequence,
-    apply_move,
     is_connected,
 )
 from .oracle import solve_from
@@ -504,10 +503,12 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
 # ---------------------------------------------------------------------------
 
 
-def _lone_peg_hops(g: Graph):
+@lru_cache(maxsize=256)
+def _lone_peg_hops(g: Graph) -> tuple[tuple[tuple[int, tuple], ...], ...]:
     """Transitions available to a lone peg: 4-path hops, and teleports among
-    the four class-A singleton positions of any embedded H."""
-    hops: dict[int, list[tuple[int, tuple]]] = {v: [] for v in g.vertices()}
+    the four class-A singleton positions of any embedded H. ``hops[u]`` lists
+    the (vertex, label) pairs out of u; built once per graph, like ``_frame``."""
+    hops: list[list[tuple[int, tuple]]] = [[] for _ in range(g.n + 1)]
     for u in g.vertices():
         for p1 in g.adj[u]:
             for p2 in g.adj[p1]:
@@ -534,7 +535,7 @@ def _lone_peg_hops(g: Graph):
                         for w in singles:
                             if u != w:
                                 hops[u].append((w, ("h", emb, w)))
-    return hops
+    return tuple(map(tuple, hops))
 
 
 def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
@@ -586,7 +587,7 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
         else:
             _, emb, w = label
             pegs = _within_h(emb.vertices, pegs, _h_bits(emb.vertices, 1 << (w - 1)), moves)
-    if Configuration(g.n, pegs).peg_vertices() != (target,):
+    if pegs != 1 << (target - 1):
         raise InvariantViolation("routing did not end on the requested target")
     return MoveSequence(seq.start, tuple(moves))
 
@@ -596,24 +597,14 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
 # ---------------------------------------------------------------------------
 
 
-def _hole_shift_line(
-    c: Configuration, hole: int, to: int, moves: list[Move]
-) -> tuple[Configuration, int]:
-    """Shift a lone hole along consecutive integers by steps of 3."""
-    step = 3 if to > hole else -3
-    cur = c
+def _hole_shift_line(pegs: int, hole: int, to: int, moves: list[Move]) -> int:
+    """Shift a lone hole along consecutive integers by steps of 3, one
+    4-path macro per step; append the moves and return the new mask."""
+    d = 1 if to > hole else -1
     while hole != to:
-        d = 1 if step > 0 else -1
-        path = (hole, hole + d, hole + 2 * d, hole + 3 * d)
-        states = tuple(cur.has_peg(v) for v in path)
-        if states != (False, True, True, True):
-            raise InvariantViolation(f"hole shift blocked at {path}")
-        m1 = Move(JUMP, path[2], path[1], path[0])
-        m2 = Move(UNJUMP, path[1], path[2], path[3])
-        cur = apply_move(apply_move(cur, m1), m2)
-        moves += [m1, m2]
-        hole += step
-    return cur, hole
+        pegs = _p4(pegs, (hole, hole + d, hole + 2 * d, hole + 3 * d), moves)
+        hole += 3 * d
+    return pegs
 
 
 def _even_sweep(vs: list[int]) -> list[Move]:
@@ -633,19 +624,20 @@ def _even_sweep(vs: list[int]) -> list[Move]:
 def _solve_path_canonical(n: int, hole: int) -> list[Move]:
     """Hole in the canonical class: residue 2 for even n (entry hole 2),
     residue 0 for odd multiples of 3 (entry hole 3)."""
-    c = Configuration.with_hole(n, hole)
+    pegs = Configuration.with_hole(n, hole).pegs
     moves: list[Move] = []
     if n % 2 == 0:
-        c, _ = _hole_shift_line(c, hole, 2, moves)
+        _hole_shift_line(pegs, hole, 2, moves)
         moves += _even_sweep(list(range(1, n + 1)))
         return moves
     # n = 3l with l odd: hole to 3, jump 1 over 2, push the new hole at 2 to
     # n-1, then sweep the even path on vertices 2..n from its far end.
-    c, _ = _hole_shift_line(c, hole, 3, moves)
+    pegs = _hole_shift_line(pegs, hole, 3, moves)
     first = Move(JUMP, 1, 2, 3)
-    c = apply_move(c, first)
+    if pegs & first.mask() != 0b011:  # model's rule: pegs on x and y, hole on z
+        raise IllegalMove(f"{first}: peg/hole pattern does not match")
     moves.append(first)
-    c, _ = _hole_shift_line(c, 2, n - 1, moves)
+    _hole_shift_line(pegs ^ first.mask(), 2, n - 1, moves)
     moves += _even_sweep(list(range(n, 1, -1)))
     return moves
 

@@ -9,7 +9,8 @@ Four independent obstruction arguments live here:
   weight becomes move-invariant;
 * the mod-3 binary weighting whose conservation blocks doubly-free
   solvability when all high-degree vertices sit at mutual distances
-  divisible by 3.
+  divisible by 3. One BFS builds it, and its 3-path check is also the
+  doubly-free predicate, so both take linear time.
 
 The closed-form classifiers for paths and cycles package the resulting
 start-hole/end-peg constraints; the exact oracle must reproduce them
@@ -18,10 +19,11 @@ verbatim, which the acceptance suite checks.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import IllDefined, PreconditionFailed
-from .families import star_graph
+from .families import is_star_shape, star_graph
 from .model import (
     Configuration,
     Graph,
@@ -157,46 +159,64 @@ class BinaryWeighting:
         }
 
 
-def _simple_path_residues(g: Graph, start: int) -> dict[int, set[int]]:
-    """For each vertex, the set of lengths mod 3 over simple paths from start."""
-    residues: dict[int, set[int]] = {v: set() for v in g.vertices()}
-    residues[start].add(0)
-    on_path = [False] * (g.n + 1)
-    on_path[start] = True
+def _mod3_weights(g: Graph, base: int) -> dict[int, int]:
+    """Weight 0 at BFS distance divisible by 3 from ``base``, 1 elsewhere
+    (unreachable vertices too). For a base of degree >= 3 this is exact:
 
-    def walk(u: int, depth: int) -> None:
+    * With no ``_weight_conflict``, a degree-3 vertex has weight 0 (three
+      neighbours cannot pairwise sum to 1), and from it the weights along
+      any simple path must read 0, 1, 1, 0, 1, 1, ... So this is the only
+      candidate; it then equals "0 where some simple path from the base
+      has length divisible by 3", and every path between degree-3
+      vertices, and every cycle through one, has length divisible by 3.
+    * Conversely, if all those lengths are divisible by 3, a degree-2
+      thread vertex at position k on its thread gets weight
+      [k mod 3 != 0] from either end, and every 3-path holds exactly one
+      weight-0 vertex.
+    """
+    residue = {base: 0}
+    queue = deque((base,))
+    while queue:
+        u = queue.popleft()
         for w in g.adj[u]:
-            if not on_path[w]:
-                on_path[w] = True
-                residues[w].add((depth + 1) % 3)
-                walk(w, depth + 1)
-                on_path[w] = False
+            if w not in residue:
+                residue[w] = (residue[u] + 1) % 3
+                queue.append(w)
+    return {v: 0 if residue.get(v) == 0 else 1 for v in g.vertices()}
 
-    walk(start, 0)
-    return residues
+
+def _weight_conflict(g: Graph, weight: dict[int, int]) -> tuple[int, int, int] | None:
+    """The first 3-path x-y-z (x < z, in ``path_triples`` order) whose
+    weights do not sum to 2, or None when the weighting is valid."""
+    for x, y, z, *_ in path_triples(g):
+        if x < z and weight[x] + weight[y] + weight[z] != 2:
+            return x, y, z
+    return None
 
 
 def binary_weighting(g: Graph, v: int) -> BinaryWeighting:
-    """Weight 0 for vertices reachable from v by a simple path of length
-    divisible by 3, weight 1 otherwise.
+    """Weight 0 for vertices at distance divisible by 3 from v, weight 1
+    otherwise (see ``_mod3_weights``).
 
     Raises IllDefined unless every 3-path in the graph carries exactly two
     weight-1 vertices, the condition that makes the mod-2 peg-weight sum
     move-invariant and which fails exactly when some pair of degree-3
     vertices is joined by a path of length not divisible by 3.
     """
+    if not 1 <= v <= g.n:
+        raise PreconditionFailed(f"base vertex {v} outside 1..{g.n}")
     if g.degree(v) < 3:
         raise PreconditionFailed(f"base vertex {v} must have degree >= 3")
-    residues = _simple_path_residues(g, v)
-    weight = {w: 0 if 0 in residues[w] else 1 for w in g.vertices()}
-    for x, y, z, *_ in path_triples(g):
-        if x < z and weight[x] + weight[y] + weight[z] != 2:
-            raise IllDefined(
-                f"3-path {x}-{y}-{z} carries weights "
-                f"{weight[x]},{weight[y]},{weight[z]}; the mod-3 "
-                "weighting from vertex "
-                f"{v} is ambiguous on this graph"
-            )
+    weight = _mod3_weights(g, v)
+    bad = _weight_conflict(g, weight)
+    if bad:
+        x, y, z = bad
+        raise IllDefined(
+            f"3-path {x}-{y}-{z} carries weights "
+            f"{weight[x]},{weight[y]},{weight[z]}; the mod-3 "
+            "weighting from vertex "
+            f"{v} is ambiguous on this graph"
+        )
     return BinaryWeighting(v, weight)
 
 
@@ -214,47 +234,18 @@ def doubly_free_predicate(g: Graph) -> bool:
     length is not divisible by 3.
 
     The two endpoints may coincide: a cycle through a single degree-3
-    vertex counts, with the cycle length as the path length. Search is
-    exhaustive over simple paths (desk scale).
+    vertex counts, with the cycle length as the path length. Exactly then
+    the BFS weighting from the smallest degree-3 vertex has a conflict
+    (see ``_mod3_weights``), so the test takes linear time.
     """
     if not is_connected(g):
         raise PreconditionFailed("predicate requires a connected graph")
     if g.max_degree() < 3:
         raise PreconditionFailed("predicate requires a vertex of degree >= 3")
-    if len(g.edges) == g.n - 1 and g.max_degree() == g.n - 1:
+    if is_star_shape(g):
         raise PreconditionFailed("predicate does not apply to stars")
-    high = [v for v in g.vertices() if g.degree(v) >= 3]
-    high_set = set(high)
-
-    found = False
-
-    def walk(start: int, u: int, depth: int, on_path: list[bool]) -> None:
-        nonlocal found
-        if found:
-            return
-        for w in g.adj[u]:
-            if w == start and depth >= 2:
-                if (depth + 1) % 3 != 0:  # closed path back to the base
-                    found = True
-                    return
-                continue
-            if not on_path[w]:
-                if w in high_set and (depth + 1) % 3 != 0:
-                    found = True
-                    return
-                on_path[w] = True
-                walk(start, w, depth + 1, on_path)
-                on_path[w] = False
-                if found:
-                    return
-
-    for s in high:
-        on_path = [False] * (g.n + 1)
-        on_path[s] = True
-        walk(s, s, 0, on_path)
-        if found:
-            return True
-    return False
+    base = next(v for v in g.vertices() if g.degree(v) >= 3)
+    return _weight_conflict(g, _mod3_weights(g, base)) is not None
 
 
 # ---------------------------------------------------------------------------

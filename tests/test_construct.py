@@ -5,6 +5,7 @@ import pytest
 from revpeg.construct import (
     HEmbedding,
     WorkingTree,
+    _lone_peg_hops,
     absorb_nearest_peg,
     find_h_embedding,
     find_spanning_tree,
@@ -404,6 +405,15 @@ class TestSolveConstructiveTo:
     def test_star_precondition(self):
         with pytest.raises(PreconditionFailed):
             solve_constructive_to(star_graph(5), 1, 2)
+
+    def test_routing_table_built_once_per_graph(self):
+        g = double_star(2, 2)
+        _lone_peg_hops.cache_clear()
+        for hole in g.vertices():
+            for target in g.vertices():
+                solve_constructive_to(g, hole, target)
+        info = _lone_peg_hops.cache_info()
+        assert info.misses == 1 and info.hits > 0
 
     def test_exhaustive_small_every_hole_target_pair(self):
         from revpeg.census import labeled_connected_graphs

@@ -193,6 +193,17 @@ class TestStarCertificate:
             assert classify(star_graph(n)).verdict is Verdict.NOT_SOLVABLE
 
 
+def subdivided_k8() -> Graph:
+    """K8 on 1..8 with every edge replaced by a 3-edge path: 64 vertices."""
+    edges = []
+    nxt = 9
+    for u in range(1, 9):
+        for v in range(u + 1, 9):
+            edges += [(u, nxt), (nxt, nxt + 1), (nxt + 1, v)]
+            nxt += 2
+    return Graph(64, edges)
+
+
 class TestBinaryWeighting:
     def test_h_weights_from_center(self):
         w = binary_weighting(h_graph(), 3)
@@ -240,6 +251,20 @@ class TestBinaryWeighting:
         with pytest.raises(PreconditionFailed):
             binary_weighting(path_graph(5), 2)
 
+    def test_base_outside_the_graph_rejected(self):
+        with pytest.raises(PreconditionFailed):
+            binary_weighting(h_graph(), 6)
+        # vertex 5 has degree 3, so adj[-1] would pass the degree check
+        g = Graph(5, [(1, 5), (2, 5), (3, 5), (3, 4)])
+        with pytest.raises(PreconditionFailed):
+            binary_weighting(g, -1)
+
+    def test_subdivided_k8(self):
+        g = subdivided_k8()
+        for base in (1, 8):
+            w = binary_weighting(g, base)
+            assert [v for v in g.vertices() if w.weight[v] == 0] == list(range(1, 9))
+
     def test_json_shape(self):
         w = binary_weighting(h_graph(), 3)
         assert w.to_json() == {
@@ -278,6 +303,13 @@ class TestDoublyFreePredicate:
         # hexagon with a pendant: only closed path has length 6
         g = Graph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 7)])
         assert doubly_free_predicate(g) is False
+
+    def test_subdivided_k8(self):
+        # 64 vertices; every path between the eight centers, and every
+        # cycle, has length divisible by 3
+        g = subdivided_k8()
+        assert doubly_free_predicate(g) is False
+        assert doubly_free_predicate(Graph(64, list(g.edges) + [(1, 2)])) is True
 
     def test_preconditions(self):
         with pytest.raises(PreconditionFailed):
