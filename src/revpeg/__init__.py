@@ -84,6 +84,7 @@ from .invariants import (
     binary_weighting,
     classify_cycle,
     classify_path,
+    closed_form,
     doubly_free_predicate,
     lifted_cycle_weight,
     path_weight,

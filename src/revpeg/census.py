@@ -3,9 +3,9 @@
 Every connected graph is a star, a path, a cycle, or has a vertex of degree
 at least 3, and in the last case it must be freely solvable, with the
 doubly-free predicate deciding whether the end peg can be placed anywhere.
-Each censused graph is checked against the exact oracle, the constructive
-solver (witnesses replayed from every start hole), and the closed-form
-classifiers where they apply.
+Each censused graph is checked by one comparison of ``invariants.closed_form``
+against the exact oracle and by a replayed constructive witness from every
+start the oracle admits.
 """
 
 from __future__ import annotations
@@ -13,18 +13,12 @@ from __future__ import annotations
 import random
 
 from .construct import solve_constructive, solve_path, solve_cycle
-from .errors import PreconditionFailed, SolitaireError
+from .errors import NotSolvableStart, PreconditionFailed, SolitaireError
 from .families import cycle_order, is_star_shape, path_order
 from .graphio import serialize_graph
-from .invariants import (
-    PathCycleVerdict,
-    classify_cycle,
-    classify_path,
-    doubly_free_predicate,
-    star_certificate,
-)
+from .invariants import PathCycleVerdict, closed_form, star_certificate
 from .model import Configuration, Graph, Move, MoveSequence, is_connected, replay
-from .oracle import Classification, Verdict, classify
+from .oracle import Classification, classify
 
 
 def labeled_connected_graphs(n: int):
@@ -67,24 +61,12 @@ def sample_solver_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
             return g
 
 
-def line_shape(g: Graph):
-    """("path" | "cycle", line labeling, closed-form verdict) for a path- or
-    cycle-shaped graph, else None."""
-    order = path_order(g)
-    if order is not None:
-        return "path", order, classify_path(g.n)
-    order = cycle_order(g)
-    if order is not None:
-        return "cycle", order, classify_cycle(g.n)
-    return None
-
-
 def closed_form_mismatches(
     cls: Classification, order: list[int], closed_form: PathCycleVerdict
 ) -> list[str]:
     """Every disagreement between an oracle classification and a closed-form
-    path/cycle verdict, translated through the line labeling `order`
-    (position p on the line is vertex order[p - 1]); empty when they agree."""
+    verdict, translated through the labeling `order` (position p is vertex
+    order[p - 1]); empty when they agree."""
     failures = []
     pos_of = {v: i + 1 for i, v in enumerate(order)}
     oracle_starts = frozenset(h for h in cls.matrix if cls.matrix[h])
@@ -107,50 +89,32 @@ def closed_form_mismatches(
     return failures
 
 
-def _check_solver_shape(g: Graph, cls) -> list[str]:
-    failures = []
-    if cls.verdict not in (Verdict.FREELY_SOLVABLE, Verdict.DOUBLY_FREELY_SOLVABLE):
-        failures.append(f"expected freely solvable, oracle says {cls.verdict.value}")
+def check_graph(g: Graph) -> dict:
+    """One census record: shape, verdict, and any trichotomy violations."""
+    cls = classify(g)
+    shape, order, closed = closed_form(g)
+    failures = closed_form_mismatches(cls, order, closed)
+    if shape == "star" and not star_certificate(g.n).verify().proves_not_solvable:
+        failures.append("star certificate failed to verify")
     for hole in g.vertices():
+        ends = cls.matrix[hole]
+        if not ends:
+            continue
         try:
-            seq = solve_constructive(g, hole)
+            seq = line_solver_witness(g, hole)
+            if seq is None:  # an empty MoveSequence is falsy
+                seq = solve_constructive(g, hole)
             end = replay(g, seq)
         except SolitaireError as exc:
             failures.append(f"constructive solve failed from hole {hole}: {exc}")
             continue
         if end.peg_count() != 1:
             failures.append(f"witness from hole {hole} left {end.peg_count()} pegs")
-        elif end.peg_vertices()[0] not in cls.matrix[hole]:
+        elif end.peg_vertices()[0] not in ends:
             failures.append(
                 f"witness from hole {hole} ended on {end.peg_vertices()[0]}, "
                 f"outside the oracle end set"
             )
-    predicate = doubly_free_predicate(g)
-    oracle_doubly = cls.verdict is Verdict.DOUBLY_FREELY_SOLVABLE
-    if predicate != oracle_doubly:
-        failures.append(
-            f"doubly-free predicate {predicate} but oracle "
-            f"full-matrix test {oracle_doubly}"
-        )
-    return failures
-
-
-def check_graph(g: Graph) -> dict:
-    """One census record: shape, verdict, and any trichotomy violations."""
-    cls = classify(g)
-    if g.n >= 4 and is_star_shape(g):
-        shape = "star"
-        failures = []
-        if cls.verdict is not Verdict.NOT_SOLVABLE:
-            failures.append(f"star classified {cls.verdict.value}")
-        if not star_certificate(g.n).verify().proves_not_solvable:
-            failures.append("star certificate failed to verify")
-    elif (line := line_shape(g)) is not None:
-        shape, order, closed_form = line
-        failures = closed_form_mismatches(cls, order, closed_form)
-    else:
-        shape = "solver"
-        failures = _check_solver_shape(g, cls)
     return {
         "graph": serialize_graph(g).replace("\n", ";"),
         "n": g.n,
@@ -171,21 +135,24 @@ def line_solver_witness(g: Graph, hole: int) -> MoveSequence | None:
     labeling, or None if this shape has no routine."""
     order = path_order(g)
     if order is not None:
-        pos_of = {v: i + 1 for i, v in enumerate(order)}
-        seq = solve_path(g.n, pos_of[hole])
-        return _map_line_sequence(g, order, seq)
-    cyc = cycle_order(g)
-    if cyc is not None:
-        pos_of = {v: i + 1 for i, v in enumerate(cyc)}
-        seq = solve_cycle(g.n, pos_of[hole])
-        return _map_line_sequence(g, cyc, seq)
+        return _line_witness(g, "path", order, hole)
+    order = cycle_order(g)
+    if order is not None:
+        return _line_witness(g, "cycle", order, hole)
     return None
 
 
-def _map_line_sequence(g: Graph, order: list[int], seq: MoveSequence) -> MoveSequence:
-    start_holes = seq.start.hole_vertices()
-    start = Configuration.with_hole(g.n, order[start_holes[0] - 1])
+def _line_witness(g: Graph, shape: str, order: list[int], hole: int) -> MoveSequence:
+    if not 1 <= hole <= g.n:
+        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    solve = solve_path if shape == "path" else solve_cycle
+    try:
+        seq = solve(g.n, order.index(hole) + 1)
+    except NotSolvableStart:  # name the vertex, not its line position
+        raise NotSolvableStart(
+            f"{shape} on {g.n} vertices is not solvable from hole {hole}"
+        ) from None
     moves = tuple(
         Move(m.kind, order[m.x - 1], order[m.y - 1], order[m.z - 1]) for m in seq.moves
     )
-    return MoveSequence(start, moves)
+    return MoveSequence(Configuration.with_hole(g.n, hole), moves)

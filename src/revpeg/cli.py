@@ -43,7 +43,7 @@ from .graphio import (
 from .invariants import (
     classify_cycle,
     classify_path,
-    doubly_free_predicate,
+    closed_form,
     star_certificate,
 )
 from .model import Graph, MoveSequence, replay, trace
@@ -110,10 +110,9 @@ def cmd_classify(args, report: dict) -> int:
     report["input"] = {"spec": args.graph, "graph": serialize_graph(g)}
     results: dict = {}
     report["results"] = results
-    star = g.n >= 4 and is_star_shape(g)
-    line = None if star else census_mod.line_shape(g)
-    if star:
-        closed = {"shape": "star", "verdict": Verdict.NOT_SOLVABLE.value}
+    shape, order, v = closed_form(g)
+    if shape == "star":
+        closed = {"shape": "star", "verdict": v.level.value}
         if g.n <= 14:  # exhaustive 2^n certificate check only at desk scale
             cert = star_certificate(g.n).verify()
             closed["certificate"] = {
@@ -122,8 +121,9 @@ def cmd_classify(args, report: dict) -> int:
                 "proves_not_solvable": cert.proves_not_solvable,
             }
         results["closed_form"] = closed
-    elif line is not None:
-        shape, order, v = line
+    elif shape == "solver":
+        results["doubly_free_predicate"] = v.level is Verdict.DOUBLY_FREELY_SOLVABLE
+    else:
         results["closed_form"] = {
             "shape": shape,
             "verdict": v.level.value,
@@ -133,35 +133,26 @@ def cmd_classify(args, report: dict) -> int:
                 for p in v.admissible_starts
             },
         }
-    elif g.max_degree() >= 3:
-        results["doubly_free_predicate"] = doubly_free_predicate(g)
-    checks = []
     try:
         cls = classify(g, args.memory_budget)
     except CapacityExceeded as exc:
         results["oracle"] = None
         results["capacity_exceeded"] = str(exc)
-        if "closed_form" not in results:
+        if shape == "solver":
             report["error"] = str(exc)
             return EXIT_CAPACITY
-    else:
-        results["oracle"] = classification_to_json(g, cls)
-        del results["oracle"]["graph"]
-        report["memory"] = {
-            "budget": args.memory_budget,
-            "estimated_bytes": estimate_state_bytes(g.n),
-        }
-        if "closed_form" in results:
-            match = (cls.verdict is Verdict.NOT_SOLVABLE if star
-                     else not census_mod.closed_form_mismatches(cls, order, v))
-            checks.append({"kind": "oracle-vs-closed-form", "match": match})
-        if "doubly_free_predicate" in results:
-            match = results["doubly_free_predicate"] == (
-                cls.verdict is Verdict.DOUBLY_FREELY_SOLVABLE
-            )
-            checks.append({"kind": "doubly-free-predicate-vs-oracle", "match": match})
-    report["cross_checks"] = checks
-    return EXIT_MISMATCH if any(not c["match"] for c in checks) else EXIT_OK
+        report["cross_checks"] = []
+        return EXIT_OK
+    results["oracle"] = classification_to_json(g, cls)
+    del results["oracle"]["graph"]
+    report["memory"] = {
+        "budget": args.memory_budget,
+        "estimated_bytes": estimate_state_bytes(g.n),
+    }
+    kind = "doubly-free-predicate-vs-oracle" if shape == "solver" else "oracle-vs-closed-form"
+    match = not census_mod.closed_form_mismatches(cls, order, v)
+    report["cross_checks"] = [{"kind": kind, "match": match}]
+    return EXIT_OK if match else EXIT_MISMATCH
 
 
 def _witness_payload(g: Graph, seq: MoveSequence, want_trace: bool) -> dict:

@@ -1,4 +1,4 @@
-"""Algebraic certificates and closed-form path/cycle classification.
+"""Algebraic certificates and the closed-form classification of every graph.
 
 Four independent obstruction arguments live here:
 
@@ -12,9 +12,9 @@ Four independent obstruction arguments live here:
   divisible by 3. One BFS builds it, and its 3-path check is also the
   doubly-free predicate, so both take linear time.
 
-The closed-form classifiers for paths and cycles package the resulting
-start-hole/end-peg constraints; the exact oracle must reproduce them
-verbatim, which the acceptance suite checks.
+``closed_form`` packages the resulting start-hole/end-peg constraints for
+every connected graph; the exact oracle must reproduce them verbatim, which
+``census.closed_form_mismatches`` checks.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import IllDefined, PreconditionFailed
-from .families import is_star_shape, star_graph
+from .errors import DisconnectedGraph, IllDefined, PreconditionFailed
+from .families import cycle_order, is_star_shape, path_order, star_graph
 from .model import (
     Configuration,
     Graph,
@@ -312,3 +312,44 @@ def classify_cycle(n: int) -> PathCycleVerdict:
         return PathCycleVerdict(True, everything, ends, Verdict.FREELY_SOLVABLE)
     ends = {h: everything for h in everything}
     return PathCycleVerdict(True, everything, ends, Verdict.DOUBLY_FREELY_SOLVABLE)
+
+
+# ---------------------------------------------------------------------------
+# One closed form for every connected graph
+# ---------------------------------------------------------------------------
+
+
+def closed_form(g: Graph) -> tuple[str, list[int], PathCycleVerdict]:
+    """(shape, labeling, verdict) of a connected graph, without a search.
+
+    Position p of the verdict is vertex ``labeling[p - 1]``: the line order
+    for "path" and "cycle", the identity for "star" (no admissible start)
+    and "solver" (a non-star with a degree-3 vertex: every hole admissible).
+    On a solver graph whose mod-3 weighting w has a conflict (the
+    doubly-free predicate) every end peg is reachable from every hole.
+    Otherwise the parity of the pegs' total weight is conserved, so from
+    hole h the end pegs are {p : w(p) = W - w(h) mod 2}, W the weight of all
+    vertices, and the paper's construction reaches each of them.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraph("classify requires a connected graph")
+    order = path_order(g)
+    if order is not None:
+        return "path", order, classify_path(g.n)
+    order = cycle_order(g)
+    if order is not None:
+        return "cycle", order, classify_cycle(g.n)
+    labels = list(g.vertices())
+    if is_star_shape(g):
+        return "star", labels, PathCycleVerdict(False, frozenset(), {}, Verdict.NOT_SOLVABLE)
+    weight = _mod3_weights(g, next(v for v in labels if g.degree(v) >= 3))
+    everything = frozenset(labels)
+    if _weight_conflict(g, weight) is not None:
+        ends = dict.fromkeys(labels, everything)
+        level = Verdict.DOUBLY_FREELY_SOLVABLE
+    else:
+        odd = frozenset(v for v in labels if weight[v])
+        by_parity = (everything - odd, odd)
+        ends = {h: by_parity[(len(odd) - weight[h]) % 2] for h in labels}
+        level = Verdict.FREELY_SOLVABLE
+    return "solver", labels, PathCycleVerdict(True, everything, ends, level)

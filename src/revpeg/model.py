@@ -63,10 +63,12 @@ class Graph:
         return range(1, self.n + 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 1 <= v <= self.n:
+            raise ValidationError(f"vertex {v} outside 1..{self.n}")
         return self.adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         e = (u, v) if u < v else (v, u)
@@ -303,9 +305,6 @@ class MoveSequence:
 
     def unjump_count(self) -> int:
         return sum(1 for m in self.moves if m.kind is UNJUMP)
-
-    def extended(self, more: Iterable[Move]) -> "MoveSequence":
-        return MoveSequence(self.start, self.moves + tuple(more))
 
 
 def _replay_steps(g: Graph, seq: MoveSequence) -> Iterator[Configuration]:

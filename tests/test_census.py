@@ -98,3 +98,19 @@ def test_closed_form_mismatches_through_labeling():
     assert got[0].startswith("starts mismatch: oracle ")
     assert got[1] == "verdict mismatch: oracle Solvable closed-form FreelySolvable"
     assert all(m.startswith("ends mismatch at hole ") for m in got[2:]) and got[2:]
+
+
+def test_check_graph_compares_the_closed_form_for_every_shape(monkeypatch):
+    import revpeg.census as census
+    from revpeg.invariants import PathCycleVerdict
+    from revpeg.oracle import Verdict
+
+    def lying(g):  # every hole admissible, each ending on itself
+        everything = frozenset(g.vertices())
+        ends = {h: frozenset({h}) for h in g.vertices()}
+        verdict = PathCycleVerdict(True, everything, ends, Verdict.FREELY_SOLVABLE)
+        return "solver", list(g.vertices()), verdict
+
+    monkeypatch.setattr(census, "closed_form", lying)
+    for g in (star_graph(5), paw_graph(), Graph(4, [(1, 3), (3, 2), (2, 4)])):
+        assert any("mismatch" in f for f in check_graph(g)["failures"]), g

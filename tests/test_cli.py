@@ -48,6 +48,17 @@ class TestClassify:
         code, rep = run_cli(capsys, "--memory-budget", "1K", "classify", str(spec))
         assert code == 3
 
+    @pytest.mark.parametrize("text", [
+        "6 4\n1 2\n1 3\n1 4\n5 6\n",  # a claw plus an edge: degree 3
+        "5 3\n1 2\n2 3\n4 5\n",  # a path plus an edge: no degree 3
+    ], ids=["with-degree-3", "without-degree-3"])
+    def test_disconnected_graph_refused(self, capsys, tmp_path, text):
+        spec = tmp_path / "g.txt"
+        spec.write_text(text)
+        code, rep = run_cli(capsys, "classify", str(spec))
+        assert code == 2
+        assert rep["error"] == "DisconnectedGraph: classify requires a connected graph"
+
     def test_file_input(self, capsys, tmp_path):
         spec = tmp_path / "h.txt"
         spec.write_text("5 4\n1 3\n2 3\n3 4\n4 5\n")
@@ -80,6 +91,21 @@ class TestSolve:
         code, rep = run_cli(capsys, "solve", "star:5", "--hole", "2")
         assert code == 0
         assert rep["results"]["solvable"] is False
+
+    @pytest.mark.parametrize("spec, hole, n", [("path:5", 9, 5), ("cycle:6", 0, 6)])
+    def test_hole_outside_a_line_refused(self, capsys, spec, hole, n):
+        code, rep = run_cli(capsys, "solve", spec, "--hole", str(hole))
+        assert code == 2
+        assert rep["error"] == f"PreconditionFailed: hole {hole} outside 1..{n}"
+
+    def test_relabeled_line_refusal_names_the_vertex(self, capsys):
+        # star:3 is the path 2-1-3, so vertex 1 sits at line position 2
+        code, rep = run_cli(capsys, "solve", "star:3", "--hole", "1")
+        assert code == 0
+        assert rep["results"] == {
+            "reason": "path on 3 vertices is not solvable from hole 1",
+            "solvable": False,
+        }
 
     def test_oracle_with_target(self, capsys):
         code, rep = run_cli(

@@ -62,6 +62,14 @@ class TestGraph:
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
 
+    @pytest.mark.parametrize("v", [-1, 0, 6])
+    def test_degree_and_neighbors_refuse_vertices_outside_the_graph(self, v):
+        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+        with pytest.raises(ValidationError):
+            g.degree(v)
+        with pytest.raises(ValidationError):
+            g.neighbors(v)
+
     def test_equality_and_hash(self):
         a = Graph(3, [(1, 2), (2, 3)])
         b = Graph(3, [(2, 3), (1, 2)])

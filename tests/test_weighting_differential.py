@@ -17,11 +17,11 @@ import sys
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, subdivided_graph
 from revpeg.census import labeled_connected_graphs
 from revpeg.errors import IllDefined, PreconditionFailed
 from revpeg.invariants import binary_weighting, doubly_free_predicate
-from revpeg.model import Graph, is_connected, path_triples
+from revpeg.model import is_connected, path_triples
 
 # ---------------------------------------------------------------------------
 # Reference: exhaustive simple-path searches
@@ -118,35 +118,6 @@ def assert_weightings_agree(g):
         if g.degree(v) >= 3:
             new = outcome(lambda: binary_weighting(g, v).weight)
             assert new == outcome(ref_binary_weighting, g, v), (g, v)
-
-
-def relabeled(rng, g):
-    perm = list(g.vertices())
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
-
-
-def subdivided_graph(rng, k):
-    """A random connected graph on k vertices with every edge replaced by a
-    3-edge path and a few pendant paths hung on original vertices,
-    relabeled at random. Every path between degree-3 vertices, and every
-    cycle, has length divisible by 3, so the predicate is False."""
-    while True:
-        base = random_connected_graph(rng, k, extra=rng.randint(0, 3))
-        if base.max_degree() >= 3:
-            break
-    edges = []
-    nxt = k + 1
-    for u, v in base.edges:
-        edges += [(u, nxt), (nxt, nxt + 1), (nxt + 1, v)]
-        nxt += 2
-    for _ in range(rng.randint(0, 2)):
-        prev = rng.randint(1, k)
-        for _ in range(rng.randint(1, 4)):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return relabeled(rng, Graph(nxt - 1, edges))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
