@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 
-from .construct import solve_constructive, solve_path, solve_cycle
-from .errors import NotSolvableStart, PreconditionFailed, SolitaireError
-from .families import cycle_order, is_star_shape, path_order
+from .construct import line_solver_witness, solve_constructive
+from .errors import PreconditionFailed, SolitaireError
+from .families import is_star_shape
 from .graphio import serialize_graph
 from .invariants import PathCycleVerdict, closed_form, star_certificate
-from .model import Configuration, Graph, Move, MoveSequence, is_connected, replay
+from .model import Graph, is_connected, replay
 from .oracle import Classification, classify
 
 
@@ -129,30 +129,3 @@ def check_graph_edges(args: tuple[int, tuple[tuple[int, int], ...]]) -> dict:
     n, edges = args
     return check_graph(Graph(n, edges))
 
-
-def line_solver_witness(g: Graph, hole: int) -> MoveSequence | None:
-    """Constructive witness for a path- or cycle-shaped graph under any
-    labeling, or None if this shape has no routine."""
-    order = path_order(g)
-    if order is not None:
-        return _line_witness(g, "path", order, hole)
-    order = cycle_order(g)
-    if order is not None:
-        return _line_witness(g, "cycle", order, hole)
-    return None
-
-
-def _line_witness(g: Graph, shape: str, order: list[int], hole: int) -> MoveSequence:
-    if not 1 <= hole <= g.n:
-        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
-    solve = solve_path if shape == "path" else solve_cycle
-    try:
-        seq = solve(g.n, order.index(hole) + 1)
-    except NotSolvableStart:  # name the vertex, not its line position
-        raise NotSolvableStart(
-            f"{shape} on {g.n} vertices is not solvable from hole {hole}"
-        ) from None
-    moves = tuple(
-        Move(m.kind, order[m.x - 1], order[m.y - 1], order[m.z - 1]) for m in seq.moves
-    )
-    return MoveSequence(Configuration.with_hole(g.n, hole), moves)

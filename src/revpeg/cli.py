@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import census as census_mod
 from .construct import (
+    line_solver_witness,
     solve_constructive,
     solve_constructive_to,
 )
@@ -203,6 +204,8 @@ def cmd_solve(args, report: dict) -> int:
             seq = res.witness
             results["min_unjumps"] = res.count
     else:  # constructive
+        if not 1 <= args.hole <= g.n:
+            raise PreconditionFailed(f"hole {args.hole} outside 1..{g.n}")
         try:
             if g.n >= 4 and is_star_shape(g):
                 results["reason"] = "stars are not solvable"
@@ -214,7 +217,7 @@ def cmd_solve(args, report: dict) -> int:
                     )
                 seq = solve_constructive_to(g, args.hole, args.target)
             else:
-                seq = census_mod.line_solver_witness(g, args.hole)
+                seq = line_solver_witness(g, args.hole)
                 if seq is None:
                     seq = solve_constructive(g, args.hole)
         except NotSolvableStart as exc:

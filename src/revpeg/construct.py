@@ -21,9 +21,12 @@ rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs pattern
 is that rule for both of its moves), and builds ``Configuration`` objects
 only at phase boundaries; the public step functions wrap the same kernels.
 
-Paths and cycles have no degree-3 vertex and get dedicated routines built
-from the classical even-path jump sweep plus hole shifting; cycles reduce
-to paths by rotating the hole onto the path routine's entry position.
+Paths and cycles have no degree-3 vertex and share one line kernel on the
+vertex order (``path_order``/``cycle_order``, or 1..n for ``solve_path``
+and ``solve_cycle``): a path in the other admissible residue class is read
+backwards and a cycle is read from the vertex that puts the hole on the
+entry position, then 4-path macros shift the hole and the classical
+even-path jump sweep finishes, all on the real vertices.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     PatternMismatch,
     PreconditionFailed,
 )
-from .families import is_star_shape
+from .families import cycle_order, is_star_shape, path_order
 from .hclasses import HClass, LETTERS, h_class_of, h_route, letter_mask
 from .invariants import classify_path, classify_cycle, doubly_free_predicate
 from .model import (
@@ -51,6 +54,7 @@ from .model import (
     Graph,
     Move,
     MoveSequence,
+    _pattern_ok,
     is_connected,
 )
 from .oracle import solve_from
@@ -135,11 +139,9 @@ def _within_h(vs: tuple[int, ...], pegs: int, dst: int, moves: list[Move]) -> in
     return the new mask. Raises NotSameClass across classes."""
     for r in h_route(_h_bits(vs, pegs), dst):
         m = Move(r.kind, vs[r.x - 1], vs[r.y - 1], vs[r.z - 1])
-        mask = m.mask()
-        bz = 1 << (m.z - 1)
-        if pegs & mask != (mask ^ bz if m.kind is JUMP else bz):
+        if not _pattern_ok(pegs, m):
             raise IllegalMove(f"{m}: peg/hole pattern does not match")
-        pegs ^= mask
+        pegs ^= m.mask()
         moves.append(m)
     return pegs
 
@@ -469,9 +471,8 @@ def _solve_paw_four(g: Graph, hole: int) -> MoveSequence:
 
 def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     """Replay-valid sequence from all-pegs-except-hole down to a single peg,
-    for any connected non-star graph with a vertex of degree >= 3."""
-    if not is_connected(g):
-        raise PreconditionFailed("graph must be connected")
+    for any connected non-star graph with a vertex of degree >= 3. A
+    disconnected graph is refused by the working-tree construction."""
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     if is_star_shape(g) and g.n >= 4:
@@ -479,6 +480,8 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     if g.max_degree() < 3:
         raise PreconditionFailed(
             "no vertex of degree >= 3; use the path/cycle routines"
+            if is_connected(g)
+            else "graph must be connected"
         )
     if g.n == 4:
         return _solve_paw_four(g, hole)
@@ -547,6 +550,8 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
     class-switch that exists precisely when two degree-3 vertices are
     joined by a path of length not divisible by 3.
     """
+    if not 1 <= hole <= g.n:
+        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     if not 1 <= target <= g.n:
         raise PreconditionFailed(f"target {target} outside 1..{g.n}")
     if not doubly_free_predicate(g):
@@ -597,16 +602,6 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
 # ---------------------------------------------------------------------------
 
 
-def _hole_shift_line(pegs: int, hole: int, to: int, moves: list[Move]) -> int:
-    """Shift a lone hole along consecutive integers by steps of 3, one
-    4-path macro per step; append the moves and return the new mask."""
-    d = 1 if to > hole else -1
-    while hole != to:
-        pegs = _p4(pegs, (hole, hole + d, hole + 2 * d, hole + 3 * d), moves)
-        hole += 3 * d
-    return pegs
-
-
 def _even_sweep(vs: list[int]) -> list[Move]:
     """Jump-only solution of an even path given as a vertex list, with the
     hole adjacent to the first endpoint (on vs[1]). Final peg: vs[-2]."""
@@ -621,61 +616,70 @@ def _even_sweep(vs: list[int]) -> list[Move]:
     return moves
 
 
-def _solve_path_canonical(n: int, hole: int) -> list[Move]:
-    """Hole in the canonical class: residue 2 for even n (entry hole 2),
-    residue 0 for odd multiples of 3 (entry hole 3)."""
-    pegs = Configuration.with_hole(n, hole).pegs
+def _solve_line(shape: str, order, hole: int) -> MoveSequence:
+    """Solve the path or cycle whose vertices, in line order, are ``order``,
+    from ``hole``; admissibility is the closed form at the hole's position.
+
+    The construction needs the hole on the entry position 2 (even n) or 3
+    (odd multiples of 3). A path whose hole is in the other admissible
+    residue class is read backwards; a cycle is read from the vertex that
+    puts the hole on the entry position. Even n: walk the hole to the entry
+    by 4-path macros and sweep. Odd n: jump the first peg over the second
+    into the hole, walk the new hole to the next-to-last position and sweep
+    the even line from the far end.
+    """
+    n = len(order)
+    verdict = classify_path(n) if shape == "path" else classify_cycle(n)
+    pos = order.index(hole) + 1 if hole in order else 0
+    if pos not in verdict.admissible_starts:
+        raise NotSolvableStart(f"{shape} on {n} vertices is not solvable from hole {hole}")
+    entry = 2 if n % 2 == 0 else 3
+    vs = list(order)
+    if shape == "cycle":
+        k = (pos - entry) % n
+        vs = vs[k:] + vs[:k]
+    elif pos % 3 != entry % 3:
+        vs.reverse()
+    start = Configuration.with_hole(n, hole)
     moves: list[Move] = []
+
+    def shift(pegs: int, at: int, to: int) -> int:
+        # Carry the lone hole from vs[at] to vs[to], 3 vertices per macro.
+        d = 1 if to > at else -1
+        for i in range(at, to, 3 * d):
+            pegs = _p4(pegs, (vs[i], vs[i + d], vs[i + 2 * d], vs[i + 3 * d]), moves)
+        return pegs
+
+    pegs = shift(start.pegs, vs.index(hole), entry - 1)
     if n % 2 == 0:
-        _hole_shift_line(pegs, hole, 2, moves)
-        moves += _even_sweep(list(range(1, n + 1)))
-        return moves
-    # n = 3l with l odd: hole to 3, jump 1 over 2, push the new hole at 2 to
-    # n-1, then sweep the even path on vertices 2..n from its far end.
-    pegs = _hole_shift_line(pegs, hole, 3, moves)
-    first = Move(JUMP, 1, 2, 3)
-    if pegs & first.mask() != 0b011:  # model's rule: pegs on x and y, hole on z
+        return MoveSequence(start, tuple(moves + _even_sweep(vs)))
+    first = Move(JUMP, vs[0], vs[1], vs[2])
+    if not _pattern_ok(pegs, first):
         raise IllegalMove(f"{first}: peg/hole pattern does not match")
     moves.append(first)
-    _hole_shift_line(pegs ^ first.mask(), 2, n - 1, moves)
-    moves += _even_sweep(list(range(n, 1, -1)))
-    return moves
+    shift(pegs ^ first.mask(), 1, n - 2)
+    return MoveSequence(start, tuple(moves + _even_sweep(vs[:0:-1])))
 
 
 def solve_path(n: int, hole: int) -> MoveSequence:
     """Explicit solution for the n-vertex path, entered anywhere the
     closed-form classifier admits."""
-    verdict = classify_path(n)
-    if hole not in verdict.admissible_starts:
-        raise NotSolvableStart(f"path on {n} vertices is not solvable from hole {hole}")
-    start = Configuration.with_hole(n, hole)
-    if n == 2:
-        return MoveSequence(start, ())
-    canonical = hole % 3 == (2 if n % 2 == 0 else 0)
-    if canonical:
-        moves = _solve_path_canonical(n, hole)
-    else:
-        mirrored = _solve_path_canonical(n, n + 1 - hole)
-        moves = [Move(m.kind, n + 1 - m.x, n + 1 - m.y, n + 1 - m.z) for m in mirrored]
-    return MoveSequence(start, tuple(moves))
+    return _solve_line("path", range(1, n + 1), hole)
 
 
 def solve_cycle(n: int, hole: int) -> MoveSequence:
-    """Explicit solution for the n-vertex cycle: rotate the hole onto the
-    path routine's entry position and run the path solution along the
-    cycle."""
-    verdict = classify_cycle(n)
-    if hole not in verdict.admissible_starts:
-        raise NotSolvableStart(f"cycle on {n} vertices is not solvable from hole {hole}")
-    entry = 2 if n % 2 == 0 or n % 3 != 0 else 3
-    rot = (entry - hole) % n
+    """Explicit solution for the n-vertex cycle."""
+    return _solve_line("cycle", range(1, n + 1), hole)
 
-    def unrotate(v: int) -> int:
-        return (v - 1 - rot) % n + 1
 
-    path_seq = solve_path(n, entry)
-    moves = tuple(
-        Move(m.kind, unrotate(m.x), unrotate(m.y), unrotate(m.z))
-        for m in path_seq.moves
-    )
-    return MoveSequence(Configuration.with_hole(n, hole), moves)
+def line_solver_witness(g: Graph, hole: int) -> MoveSequence | None:
+    """Constructive witness for a path- or cycle-shaped graph under any
+    labeling, or None if this shape has no routine."""
+    shape, order = "path", path_order(g)
+    if order is None:
+        shape, order = "cycle", cycle_order(g)
+        if order is None:
+            return None
+    if not 1 <= hole <= g.n:
+        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    return _solve_line(shape, order, hole)

@@ -9,7 +9,8 @@ The move rule, stated once: on an ordered path triple x-y-z with bits
 bx, by, bz and ``mask = bx | by | bz``, a move is legal exactly when
 ``pegs & mask == bx | by`` (a jump) or ``pegs & mask == bz`` (an unjump),
 and either move flips ``mask``. ``path_triples`` tabulates the triples;
-``legal_moves``, ``replay`` and the oracle's searches all apply this rule.
+``legal_moves``, ``replay``, the oracle's searches and the constructive
+solvers all apply this rule.
 
 Everything here is an immutable value and every operation is a pure
 function.
@@ -232,13 +233,13 @@ def _geometry_ok(g: Graph, m: Move) -> bool:
     )
 
 
-def _pattern_ok(c: Configuration, m: Move) -> bool:
+def _pattern_ok(pegs: int, m: Move) -> bool:
     bx, by, bz = 1 << (m.x - 1), 1 << (m.y - 1), 1 << (m.z - 1)
-    return c.pegs & (bx | by | bz) == (bx | by if m.kind is JUMP else bz)
+    return pegs & (bx | by | bz) == (bx | by if m.kind is JUMP else bz)
 
 
 def is_legal(g: Graph, c: Configuration, m: Move) -> bool:
-    return _geometry_ok(g, m) and _pattern_ok(c, m)
+    return _geometry_ok(g, m) and _pattern_ok(c.pegs, m)
 
 
 @lru_cache(maxsize=256)
@@ -285,7 +286,7 @@ def apply_move(c: Configuration, m: Move, g: Graph | None = None) -> Configurati
     """
     if g is not None and not _geometry_ok(g, m):
         raise IllegalMove(f"{m}: x-y-z is not a 3-path in the graph")
-    if not _pattern_ok(c, m):
+    if not _pattern_ok(c.pegs, m):
         raise IllegalMove(f"{m}: peg/hole pattern does not match in {c}")
     return Configuration(c.n, c.pegs ^ m.mask())
 
@@ -317,7 +318,7 @@ def _replay_steps(g: Graph, seq: MoveSequence) -> Iterator[Configuration]:
     for i, m in enumerate(seq.moves):
         if not _geometry_ok(g, m):
             raise IllegalMoveAt(i, f"{m}: x-y-z is not a 3-path in the graph")
-        if not _pattern_ok(c, m):
+        if not _pattern_ok(c.pegs, m):
             raise IllegalMoveAt(i, f"{m}: peg/hole pattern does not match")
         c = Configuration(c.n, c.pegs ^ m.mask())
         yield c

@@ -92,11 +92,19 @@ class TestSolve:
         assert code == 0
         assert rep["results"]["solvable"] is False
 
-    @pytest.mark.parametrize("spec, hole, n", [("path:5", 9, 5), ("cycle:6", 0, 6)])
+    @pytest.mark.parametrize(
+        "spec, hole, n", [("path:5", 9, 5), ("cycle:6", 0, 6), ("star:5", 9, 5)]
+    )
     def test_hole_outside_a_line_refused(self, capsys, spec, hole, n):
         code, rep = run_cli(capsys, "solve", spec, "--hole", str(hole))
         assert code == 2
         assert rep["error"] == f"PreconditionFailed: hole {hole} outside 1..{n}"
+
+    def test_hole_outside_refused_before_doubly_free_check(self, capsys):
+        # H is not doubly free, but hole 9 does not exist
+        code, rep = run_cli(capsys, "solve", "H", "--hole", "9", "--target", "2")
+        assert code == 2
+        assert rep["error"] == "PreconditionFailed: hole 9 outside 1..5"
 
     def test_relabeled_line_refusal_names_the_vertex(self, capsys):
         # star:3 is the path 2-1-3, so vertex 1 sits at line position 2

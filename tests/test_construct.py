@@ -365,6 +365,14 @@ class TestSolveConstructive:
                 assert end.peg_count() == 1
                 assert end.peg_vertices()[0] in cls.matrix[hole]
 
+    @pytest.mark.parametrize("edges, n", [
+        ([(1, 2), (1, 3), (1, 4), (5, 6)], 6),  # a claw plus an edge: degree 3
+        ([(1, 2), (2, 3), (4, 5)], 5),  # a path plus an edge: no degree 3
+    ], ids=["with-degree-3", "without-degree-3"])
+    def test_disconnected_graph_refused(self, edges, n):
+        with pytest.raises(PreconditionFailed, match="graph must be connected"):
+            solve_constructive(Graph(n, edges), 1)
+
     def test_unjump_budget(self, rng):
         count = 0
         while count < 20:
@@ -405,6 +413,10 @@ class TestSolveConstructiveTo:
     def test_star_precondition(self):
         with pytest.raises(PreconditionFailed):
             solve_constructive_to(star_graph(5), 1, 2)
+
+    def test_hole_outside_refused_before_doubly_free_check(self):
+        with pytest.raises(PreconditionFailed, match=r"^hole 9 outside 1\.\.5$"):
+            solve_constructive_to(h_graph(), 9, 2)
 
     def test_routing_table_built_once_per_graph(self):
         g = double_star(2, 2)
