@@ -114,7 +114,9 @@ def cmd_classify(args, report: dict) -> int:
     shape, order, v = closed_form(g)
     if shape == "star":
         closed = {"shape": "star", "verdict": v.level.value}
-        if g.n <= 14:  # exhaustive 2^n certificate check only at desk scale
+        # The set check is exhaustive over 2^n states (about 0.02 s at
+        # n = 14, 2.7 s at n = 20); the cap keeps star:15+ reports unchanged.
+        if g.n <= 14:
             cert = star_certificate(g.n).verify()
             closed["certificate"] = {
                 "leaf_count_preserved": cert.leaf_count_always_preserved,
@@ -206,6 +208,8 @@ def cmd_solve(args, report: dict) -> int:
     else:  # constructive
         if not 1 <= args.hole <= g.n:
             raise PreconditionFailed(f"hole {args.hole} outside 1..{g.n}")
+        if args.target is not None and not 1 <= args.target <= g.n:
+            raise PreconditionFailed(f"target {args.target} outside 1..{g.n}")
         try:
             if g.n >= 4 and is_star_shape(g):
                 results["reason"] = "stars are not solvable"

@@ -2,7 +2,8 @@
 
 Four independent obstruction arguments live here:
 
-* the star certificate (leaf-peg count is conserved, the center toggles);
+* the star certificate (leaf-peg count is conserved, the center toggles),
+  checked for every legal move of all 2^n states as shifts of state sets;
 * quaternion weights on paths, with vertex v weighted i/j/k by v mod 3;
 * the lift of a cycle configuration onto the triple cycle, where each
   cycle move corresponds to three synchronized moves and the quaternion
@@ -27,13 +28,10 @@ from .families import cycle_order, is_star_shape, path_order, star_graph
 from .model import (
     Configuration,
     Graph,
-    Move,
-    apply_move,
     is_connected,
-    legal_moves,
     path_triples,
 )
-from .oracle import Verdict
+from .oracle import Verdict, _bit_masks
 from .quaternion import I, J, K, Quaternion, q_product
 
 # ---------------------------------------------------------------------------
@@ -103,27 +101,12 @@ class StarCertificate:
     def leaf_peg_count(self, c: Configuration) -> int:
         return c.peg_count() - (1 if c.has_peg(1) else 0)
 
-    def move_preserves_leaf_count(self, c: Configuration, m: Move) -> bool:
-        return self.leaf_peg_count(apply_move(c, m)) == self.leaf_peg_count(c)
-
-    def move_toggles_center(self, c: Configuration, m: Move) -> bool:
-        return apply_move(c, m).has_peg(1) != c.has_peg(1)
-
     def verify(self) -> StarCertificateReport:
-        """Apply both predicates to every legal move of every configuration
-        and compare the conserved quantity of starts against single-peg
-        states: disjoint leaf counts mean no one-hole start can ever reach
-        one peg."""
-        g = star_graph(self.n)
-        checked = 0
-        leaves_ok = True
-        center_ok = True
-        for mask in range(1 << self.n):
-            c = Configuration(self.n, mask)
-            for m in legal_moves(g, c):
-                checked += 1
-                leaves_ok &= self.move_preserves_leaf_count(c, m)
-                center_ok &= self.move_toggles_center(c, m)
+        """Check both facts for every legal move of every configuration and
+        compare the conserved quantity of starts against single-peg states:
+        disjoint leaf counts mean no one-hole start can ever reach one
+        peg."""
+        checked, leaves_ok, center_ok = _centre_leaf_check(star_graph(self.n))
         starts = frozenset(
             self.leaf_peg_count(Configuration.with_hole(self.n, h))
             for h in range(1, self.n + 1)
@@ -133,6 +116,47 @@ class StarCertificate:
             for p in range(1, self.n + 1)
         )
         return StarCertificateReport(checked, leaves_ok, center_ok, starts, singles)
+
+
+def _centre_leaf_check(g: Graph) -> tuple[int, bool, bool]:
+    """(legal moves, leaf count always kept, centre always flipped) over all
+    2^n states of ``g``, with vertex 1 as the centre and every other vertex
+    a leaf.
+
+    Works on state sets, with M_v the states that hold a peg on v: the
+    jump on x-y-z is legal on L = M_x & M_y & ~M_z and adds
+    d = 2^(z-1) - 2^(x-1) - 2^(y-1) to each of those states, so it maps L
+    to L shifted by d; the unjump is legal on ~M_x & ~M_y & M_z and shifts
+    it by -d. With C_k the states with k leaf pegs, the move keeps the leaf
+    count on all of L exactly when L & C_k shifts into C_k for every k, and
+    flips the centre exactly when L & M_1 shifts off M_1 and the rest of L
+    shifts onto it.
+    """
+    masks = _bit_masks(g.n)
+    classes = [(1 << (1 << g.n)) - 1]  # C_0 over no leaves: every state
+    for m in masks[1:]:
+        classes = [a & ~m | b & m for a, b in zip(classes + [0], [0] + classes)]
+    centre = masks[0]
+    checked = 0
+    leaves_ok = center_ok = True
+    for x, y, z, _, bx_by, bz in path_triples(g):
+        mx, my, mz = masks[x - 1], masks[y - 1], masks[z - 1]
+        d = bz - bx_by
+        for legal, shift in ((mx & my & ~mz, d), (mz & ~mx & ~my, -d)):
+            checked += legal.bit_count()
+            leaves_ok &= all(
+                not _shifted(legal & c, shift) & ~c for c in classes
+            )
+            center_ok &= not (
+                _shifted(legal & centre, shift) & centre
+                or _shifted(legal & ~centre, shift) & ~centre
+            )
+    return checked, leaves_ok, center_ok
+
+
+def _shifted(states: int, shift: int) -> int:
+    """The set {s + shift : s in states}."""
+    return states << shift if shift >= 0 else states >> -shift
 
 
 def star_certificate(n: int) -> StarCertificate:

@@ -106,6 +106,17 @@ class TestSolve:
         assert code == 2
         assert rep["error"] == "PreconditionFailed: hole 9 outside 1..5"
 
+    @pytest.mark.parametrize(
+        "spec, target, n", [("star:5", 9, 5), ("path:6", 99, 6)]
+    )
+    def test_target_outside_refused_before_shape_checks(self, capsys, spec, target, n):
+        # a star would report "not solvable", a path the degree-3 usage error
+        code, rep = run_cli(
+            capsys, "solve", spec, "--hole", "1", "--target", str(target)
+        )
+        assert code == 2
+        assert rep["error"] == f"PreconditionFailed: target {target} outside 1..{n}"
+
     def test_relabeled_line_refusal_names_the_vertex(self, capsys):
         # star:3 is the path 2-1-3, so vertex 1 sits at line position 2
         code, rep = run_cli(capsys, "solve", "star:3", "--hole", "1")
