@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     SolitaireError,
+    ValidationError,
 )
 from .families import cycle_graph, is_star_shape, path_graph
 from .graphio import (
@@ -91,15 +92,18 @@ def _parse_bytes(text: str) -> int:
 
 
 def load_graph_spec(spec: str) -> Graph:
-    """Named family, or a file holding an edge list."""
-    fam = family_graph(spec)
-    if fam is not None:
-        return fam
-    if spec == "-":
-        return parse_graph(sys.stdin.read())
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            return parse_graph(fh.read())
+    """Named family, or a file holding an edge list; an invalid graph is a parse error."""
+    try:
+        fam = family_graph(spec)
+        if fam is not None:
+            return fam
+        if spec == "-":
+            return parse_graph(sys.stdin.read())
+        if os.path.exists(spec):
+            with open(spec) as fh:
+                return parse_graph(fh.read())
+    except ValidationError as exc:
+        raise ParseError(f"invalid graph {spec!r}: {exc}")
     raise ParseError(
         f"{spec!r} is neither a family spec (path:N, cycle:N, star:N, "
         "doublestar:L,R, H) nor a readable file"
@@ -113,17 +117,12 @@ def cmd_classify(args, report: dict) -> int:
     report["results"] = results
     shape, order, v = closed_form(g)
     if shape == "star":
-        closed = {"shape": "star", "verdict": v.level.value}
-        # The set check is exhaustive over 2^n states (about 0.02 s at
-        # n = 14, 2.7 s at n = 20); the cap keeps star:15+ reports unchanged.
-        if g.n <= 14:
-            cert = star_certificate(g.n).verify()
-            closed["certificate"] = {
-                "leaf_count_preserved": cert.leaf_count_always_preserved,
-                "center_toggled": cert.center_always_toggled,
-                "proves_not_solvable": cert.proves_not_solvable,
-            }
-        results["closed_form"] = closed
+        cert = star_certificate(g.n).verify()
+        results["closed_form"] = {"shape": "star", "verdict": v.level.value, "certificate": {
+            "leaf_count_preserved": cert.leaf_count_always_preserved,
+            "center_toggled": cert.center_always_toggled,
+            "proves_not_solvable": cert.proves_not_solvable,
+        }}
     elif shape == "solver":
         results["doubly_free_predicate"] = v.level is Verdict.DOUBLY_FREELY_SOLVABLE
     else:
@@ -190,6 +189,12 @@ def cmd_solve(args, report: dict) -> int:
             "budget": args.memory_budget,
             "estimated_bytes": estimate_state_bytes(g.n, witness=True),
         }
+    if args.method == "min-unjumps" and args.target is not None:
+        raise UsageError("--target is not supported with --method min-unjumps")
+    if not 1 <= args.hole <= g.n:
+        raise PreconditionFailed(f"hole {args.hole} outside 1..{g.n}")
+    if args.target is not None and not 1 <= args.target <= g.n:
+        raise PreconditionFailed(f"target {args.target} outside 1..{g.n}")
     if args.method == "oracle":
         if args.target is None:
             res = solve_from(g, args.hole, args.memory_budget)
@@ -199,17 +204,11 @@ def cmd_solve(args, report: dict) -> int:
         else:
             seq = witness_to(g, args.hole, args.target, args.memory_budget)
     elif args.method == "min-unjumps":
-        if args.target is not None:
-            raise UsageError("--target is not supported with --method min-unjumps")
         res = min_unjumps(g, args.hole, args.memory_budget)
         if res is not None:
             seq = res.witness
             results["min_unjumps"] = res.count
     else:  # constructive
-        if not 1 <= args.hole <= g.n:
-            raise PreconditionFailed(f"hole {args.hole} outside 1..{g.n}")
-        if args.target is not None and not 1 <= args.target <= g.n:
-            raise PreconditionFailed(f"target {args.target} outside 1..{g.n}")
         try:
             if g.n >= 4 and is_star_shape(g):
                 results["reason"] = "stars are not solvable"

@@ -3,7 +3,7 @@
 Four independent obstruction arguments live here:
 
 * the star certificate (leaf-peg count is conserved, the center toggles),
-  checked for every legal move of all 2^n states as shifts of state sets;
+  checked on the star's 3-paths;
 * quaternion weights on paths, with vertex v weighted i/j/k by v mod 3;
 * the lift of a cycle configuration onto the triple cycle, where each
   cycle move corresponds to three synchronized moves and the quaternion
@@ -25,13 +25,8 @@ from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, IllDefined, PreconditionFailed
 from .families import cycle_order, is_star_shape, path_order, star_graph
-from .model import (
-    Configuration,
-    Graph,
-    is_connected,
-    path_triples,
-)
-from .oracle import Verdict, _bit_masks
+from .model import Configuration, Graph, is_connected, path_triples
+from .oracle import Verdict
 from .quaternion import I, J, K, Quaternion, q_product
 
 # ---------------------------------------------------------------------------
@@ -123,40 +118,15 @@ def _centre_leaf_check(g: Graph) -> tuple[int, bool, bool]:
     2^n states of ``g``, with vertex 1 as the centre and every other vertex
     a leaf.
 
-    Works on state sets, with M_v the states that hold a peg on v: the
-    jump on x-y-z is legal on L = M_x & M_y & ~M_z and adds
-    d = 2^(z-1) - 2^(x-1) - 2^(y-1) to each of those states, so it maps L
-    to L shifted by d; the unjump is legal on ~M_x & ~M_y & M_z and shifts
-    it by -d. With C_k the states with k leaf pegs, the move keeps the leaf
-    count on all of L exactly when L & C_k shifts into C_k for every k, and
-    flips the centre exactly when L & M_1 shifts off M_1 and the rest of L
-    shifts onto it.
+    A move on x-y-z flips exactly x, y and z, so it changes the leaf count
+    by +-([z != 1] - [x != 1] - [y != 1]) and flips the centre iff 1 is in
+    {x, y, z}, in every state where it is legal: 2^(n-3) states for the
+    jump and as many for the unjump.
     """
-    masks = _bit_masks(g.n)
-    classes = [(1 << (1 << g.n)) - 1]  # C_0 over no leaves: every state
-    for m in masks[1:]:
-        classes = [a & ~m | b & m for a, b in zip(classes + [0], [0] + classes)]
-    centre = masks[0]
-    checked = 0
-    leaves_ok = center_ok = True
-    for x, y, z, _, bx_by, bz in path_triples(g):
-        mx, my, mz = masks[x - 1], masks[y - 1], masks[z - 1]
-        d = bz - bx_by
-        for legal, shift in ((mx & my & ~mz, d), (mz & ~mx & ~my, -d)):
-            checked += legal.bit_count()
-            leaves_ok &= all(
-                not _shifted(legal & c, shift) & ~c for c in classes
-            )
-            center_ok &= not (
-                _shifted(legal & centre, shift) & centre
-                or _shifted(legal & ~centre, shift) & ~centre
-            )
-    return checked, leaves_ok, center_ok
-
-
-def _shifted(states: int, shift: int) -> int:
-    """The set {s + shift : s in states}."""
-    return states << shift if shift >= 0 else states >> -shift
+    triples = path_triples(g)
+    leaves_ok = all((z != 1) == (x != 1) + (y != 1) for x, y, z, *_ in triples)
+    center_ok = all(1 in (x, y, z) for x, y, z, *_ in triples)
+    return len(triples) << g.n >> 2, leaves_ok, center_ok
 
 
 def star_certificate(n: int) -> StarCertificate:

@@ -331,8 +331,10 @@ def witness_to(
     end position is reachable."""
     if not is_connected(g):
         raise DisconnectedGraph("witness_to requires a connected graph")
-    if not 1 <= hole <= g.n or not 1 <= peg <= g.n:
-        raise PreconditionFailed("hole and peg must lie in 1..n")
+    if not 1 <= hole <= g.n:
+        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    if not 1 <= peg <= g.n:
+        raise PreconditionFailed(f"peg {peg} outside 1..{g.n}")
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
     return shortest_route(g, start, 1 << (peg - 1), memory_budget)
 

@@ -27,6 +27,17 @@ class TestClassify:
         assert rep["results"]["oracle"]["verdict"] == "NotSolvable"
         assert rep["results"]["closed_form"]["shape"] == "star"
 
+    @pytest.mark.parametrize("spec", ["star:15", "star:40"])
+    def test_star_certificate_at_every_size(self, capsys, spec):
+        # the oracle runs on star:15 and is refused on budget for star:40
+        code, rep = run_cli(capsys, "classify", spec)
+        assert code == 0
+        assert rep["results"]["closed_form"]["certificate"] == {
+            "center_toggled": True,
+            "leaf_count_preserved": True,
+            "proves_not_solvable": True,
+        }
+
     def test_cycle8_doubly(self, capsys):
         code, rep = run_cli(capsys, "classify", "cycle:8")
         assert code == 0
@@ -106,16 +117,38 @@ class TestSolve:
         assert code == 2
         assert rep["error"] == "PreconditionFailed: hole 9 outside 1..5"
 
-    @pytest.mark.parametrize(
-        "spec, target, n", [("star:5", 9, 5), ("path:6", 99, 6)]
-    )
-    def test_target_outside_refused_before_shape_checks(self, capsys, spec, target, n):
+    @pytest.mark.parametrize("spec, target, n, method", [
+        pytest.param("star:5", 9, 5, "constructive", id="star:5-9-5"),
+        pytest.param("path:6", 99, 6, "constructive", id="path:6-99-6"),
+        pytest.param("star:5", 9, 5, "oracle", id="star:5-9-5-oracle"),
+        pytest.param("path:6", 99, 6, "oracle", id="path:6-99-6-oracle"),
+    ])
+    def test_target_outside_refused_before_shape_checks(
+        self, capsys, spec, target, n, method
+    ):
         # a star would report "not solvable", a path the degree-3 usage error
         code, rep = run_cli(
-            capsys, "solve", spec, "--hole", "1", "--target", str(target)
+            capsys, "solve", spec, "--hole", "1", "--target", str(target),
+            "--method", method,
         )
         assert code == 2
         assert rep["error"] == f"PreconditionFailed: target {target} outside 1..{n}"
+
+    def test_min_unjumps_target_usage_error_before_range_check(self, capsys):
+        code = main(["solve", "path:6", "--hole", "1", "--target", "99",
+                     "--method", "min-unjumps"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--target is not supported" in captured.err
+
+    @pytest.mark.parametrize("method", ["oracle", "min-unjumps"])
+    def test_hole_outside_refused_by_every_method(self, capsys, method):
+        code, rep = run_cli(
+            capsys, "solve", "path:6", "--hole", "9", "--method", method
+        )
+        assert code == 2
+        assert rep["error"] == "PreconditionFailed: hole 9 outside 1..6"
 
     def test_relabeled_line_refusal_names_the_vertex(self, capsys):
         # star:3 is the path 2-1-3, so vertex 1 sits at line position 2
@@ -360,6 +393,20 @@ class TestBadInputs:
         # no graph below 4 vertices qualifies, so sampling would never end
         assert main(["census", "--max-n", "2", "--samples", "1", "--n-range", "2:3"]) == 1
         assert "--n-range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, why", [
+        ("path:0", "path needs n >= 1, got 0"),
+        ("star:1", "star needs n >= 2, got 1"),
+        ("self-loop", "self-loop at vertex 1"),
+    ], ids=["path:0", "star:1", "self-loop"])
+    def test_invalid_graph_is_a_parse_error(self, capsys, tmp_path, spec, why):
+        if spec == "self-loop":
+            spec = str(tmp_path / "loop.txt")
+            (tmp_path / "loop.txt").write_text("3 2\n1 1\n2 3\n")
+        assert main(["classify", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: invalid graph {spec!r}: {why}\n"
 
     def test_zero_threads(self, capsys):
         assert main(["--threads", "0", "census", "--max-n", "2"]) == 1

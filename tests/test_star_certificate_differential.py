@@ -1,14 +1,17 @@
-"""Differential test: the state-set star check against the per-configuration loop it replaced.
+"""Differential test: the local star check against the per-configuration loop it replaced.
 
 The reference below is the earlier body of ``StarCertificate.verify()``,
 taking the graph as a parameter: it builds every configuration, lists its
-legal moves and applies each one. ``_centre_leaf_check`` must count the
-same moves and return the same two flags, with vertex 1 as the centre and
-every other vertex a leaf, on stars, where both flags hold, and on other
-graphs, where at least one is False.
+legal moves and applies each one. ``_centre_leaf_check`` reads only the
+graph's 3-paths, and must count the same moves and return the same two
+flags, with vertex 1 as the centre and every other vertex a leaf, on stars,
+where both flags hold, and on other graphs, where at least one is False
+once some move exists.
 
 ``PYTHONPATH=src python tests/test_star_certificate_differential.py N``
-compares the full reports for the stars with 4..N vertices.
+compares the check on every labeled connected graph with at most
+min(N, 6) vertices (n = 7 alone has 1.87M of them), the full reports for
+the stars with 4..N vertices, and a few seeded graphs for each n = 9..14.
 """
 
 import random
@@ -18,13 +21,14 @@ import time
 import pytest
 
 from conftest import random_connected_graph
+from revpeg.census import labeled_connected_graphs
 from revpeg.families import cycle_graph, double_star, h_graph, path_graph, star_graph
 from revpeg.invariants import (
     StarCertificateReport,
     _centre_leaf_check,
     star_certificate,
 )
-from revpeg.model import Configuration, apply_move, legal_moves
+from revpeg.model import Configuration, Graph, apply_move, legal_moves
 
 # ---------------------------------------------------------------------------
 # Reference: one Configuration and two apply_move results per legal move
@@ -76,6 +80,10 @@ NON_STARS = {
     **{f"cycle:{n}": cycle_graph(n) for n in range(5, 9)},
     "H": h_graph(),
     "doublestar:2,3": double_star(2, 3),
+    # On a connected non-star some 3-path runs from vertex 1 through
+    # another vertex, and that alone clears the leaf flag; here only the
+    # 3-path 5-6-7, away from vertex 1, clears it.
+    "star:4+path:3": Graph(7, [(1, 2), (1, 3), (1, 4), (5, 6), (6, 7)]),
 }
 
 
@@ -93,8 +101,23 @@ def test_seeded_connected_graphs():
         assert _centre_leaf_check(g) == ref_centre_leaf_check(g), g.sorted_edges()
 
 
-if __name__ == "__main__":
-    top = int(sys.argv[1])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_labeled_connected_graph(n):
+    for g in labeled_connected_graphs(n):
+        assert _centre_leaf_check(g) == ref_centre_leaf_check(g), g.sorted_edges()
+
+
+def sweep(top):
+    """Compare on every labeled connected graph with n <= min(top, 6), on
+    stars 4..top and on five seeded graphs per n = 9..14; print timings."""
+    for n in range(1, min(top, 6) + 1):
+        started = time.perf_counter()
+        graphs = list(labeled_connected_graphs(n))
+        bad = [g for g in graphs if _centre_leaf_check(g) != ref_centre_leaf_check(g)]
+        print(
+            f"labeled n={n}: {len(graphs)} graphs, {len(bad)} mismatches, "
+            f"{time.perf_counter() - started:.2f} s"
+        )
     for n in range(4, top + 1):
         started = time.perf_counter()
         report = star_certificate(n).verify()
@@ -104,6 +127,15 @@ if __name__ == "__main__":
         ref_s = time.perf_counter() - started
         print(
             f"star:{n}: {report.moves_checked} moves checked, "
-            f"{'agree' if ok else 'MISMATCH'}, sets {new_s:.3f} s, "
+            f"{'agree' if ok else 'MISMATCH'}, local {new_s:.4f} s, "
             f"reference {ref_s:.2f} s"
         )
+    rng = random.Random(1414)
+    for n in range(9, 15):
+        graphs = [random_connected_graph(rng, n, extra=rng.randint(0, 4)) for _ in range(5)]
+        bad = [g for g in graphs if _centre_leaf_check(g) != ref_centre_leaf_check(g)]
+        print(f"seeded n={n}: {len(graphs)} graphs, {len(bad)} mismatches")
+
+
+if __name__ == "__main__":
+    sweep(int(sys.argv[1]))
