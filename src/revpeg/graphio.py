@@ -83,9 +83,19 @@ def configuration_to_json(c: Configuration) -> dict:
     return {"n": c.n, "pegs": list(c.peg_vertices())}
 
 
+def _json_int(value, field: str) -> int:
+    """`value` when it is a JSON integer; a float, bool or string is refused,
+    not converted."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def configuration_from_json(obj: dict) -> Configuration:
     try:
-        return Configuration.from_vertices(int(obj["n"]), [int(v) for v in obj["pegs"]])
+        n = _json_int(obj["n"], "configuration n")
+        pegs = [_json_int(v, "configuration peg") for v in obj["pegs"]]
+        return Configuration.from_vertices(n, pegs)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad configuration object: {exc}")
 
@@ -97,7 +107,8 @@ def move_to_json(m: Move) -> dict:
 def move_from_json(obj: dict) -> Move:
     try:
         kind = MoveKind(obj["kind"])
-        return Move(kind, int(obj["x"]), int(obj["y"]), int(obj["z"]))
+        x, y, z = (_json_int(obj[f], f"move {f}") for f in "xyz")
+        return Move(kind, x, y, z)
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad move object: {exc}")
 

@@ -1,9 +1,9 @@
 """Exhaustive ground-truth solver over the 2^n configuration space.
 
 States are raw peg bitmasks. A set of states is one Python int with bit s
-set for each state s in it, and every search except ``min_unjumps`` is a
-breadth-first search over whole sets: the next frontier is
-``image(frontier) & ~seen``.
+set for each state s in it, and every search is a breadth-first search
+over whole sets: the next frontier is the image of the last one, less the
+states already seen.
 
 The image rests on the "x != z" form of ``model``'s move rule. On a path
 x-y-z, the legal patterns of bits (x, y, z) are 110 and 001 (a jump and an
@@ -13,9 +13,10 @@ move flips all three bits. For a state whose bits x and z differ, flipping
 both adds a constant, +-(2^(z-1) - 2^(x-1)), so the states of a set F with
 x = 1, z = 0 move together by one shift of F's int, and those with x = 0,
 z = 1 by the opposite shift. Flipping bit y afterwards is one more pair of
-shifts, applied once per centre y to the union over its neighbour pairs.
-The pieces are cut with the per-bit masks M_b, the set of states whose bit
-b is set; one ``_image`` serves every set search.
+shifts, applied once per centre y to the union over its neighbour pairs:
+the states with a peg on y make a jump, the others an unjump. The pieces
+are cut with the per-bit masks M_b, the set of states whose bit b is set;
+one ``_image`` gives the jump and the unjump half of every set search.
 
 Because every move is invertible, reachability is symmetric and reachable
 sets are exactly the equivalence classes of mutual reachability;
@@ -33,21 +34,21 @@ to B_D = {target}, B_k = image(B_(k+1)) & L_k, the states of L_k on some
 fewest-move route, and walks forward from the start, taking at each step
 the first legal triple whose move lands in B_(k+1).
 
-``min_unjumps`` alone still searches one state at a time with a 0/1-cost
-deque (jumps free, unjumps cost one): its reported witness follows the
-deque's order, which a layered set search would not reproduce. The deque
-pops distances in nondecreasing order, so the search stops at the first
-distance beyond the best single-peg distance popped: every state at that
-distance or less is final by then, and with it the count and the witness.
+``min_unjumps`` searches levels by unjump count: U_0 is the jump closure
+of the start, U_(k+1) the jump closure of the states one unjump from U_k
+and not seen before, each kept as its jump layers, and the search stops at
+the first level that holds a single-peg state. Its witness is walked back
+from the smallest such peg: at each step, the first ``path_triples`` triple
+whose move is a jump from the previous jump layer of the same level, or,
+from a level's first layer, an unjump from the previous level.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .errors import CapacityExceeded, DisconnectedGraph, PreconditionFailed
 from .model import (
@@ -65,13 +66,12 @@ from .model import (
 DEFAULT_MEMORY_BUDGET = 2 << 30
 
 # Bytes-per-state costs used for the up-front budget check. They were
-# measured on the earlier per-state search (a 4-byte tag table, member list
-# and queue slack, plus the distance table of min_unjumps) and reports show
-# them as estimated_bytes, so they stay fixed. They remain an upper bound:
-# the set search holds about (2n + 8) * 2^n bits (n cached per-bit masks,
-# n per-bit slices of the frontier and a few working sets) plus one set
-# per BFS level; min_unjumps still holds its 4-byte tag and distance
-# tables.
+# measured on an earlier per-state search (4-byte tag and distance tables,
+# member lists and queue slack) and reports show them as estimated_bytes,
+# so they stay fixed. They remain an upper bound on what the set searches
+# hold: the n cached per-bit masks, n per-bit slices of the set being
+# moved and a few working sets, about (2n + 8) * 2^n bits, plus one set per
+# BFS level, or for min_unjumps one set per jump layer of every level.
 _BYTES_PER_STATE_SCAN = 24
 _BYTES_PER_STATE_WITNESS = 48
 
@@ -102,6 +102,9 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class MinUnjumpResult:
+    """The fewest unjumps of any solve, and a solve with that many that ends
+    on the smallest peg such solves reach."""
+
     count: int
     witness: MoveSequence
 
@@ -182,19 +185,21 @@ def _centres(g: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]
     return tuple(out)
 
 
-def _image(states: int, g: Graph) -> int:
-    """The set of states one legal move away from some state in `states`."""
+def _image(states: int, g: Graph) -> tuple[int, int]:
+    """The states one legal move away from some state in `states`, as two
+    sets: those reached by a jump and those reached by an unjump."""
     masks = _bit_masks(g.n)
     on = [states & m for m in masks]  # on[b]: the states with bit b set
-    out = 0
+    jumped = unjumped = 0
     for y, y_shift, pairs in _centres(g):
         flipped = 0  # the movable states with bits x and z flipped
         for x, z, shift in pairs:
             both = on[x] & masks[z]
             flipped |= (on[x] ^ both) << shift | (on[z] ^ both) >> shift
-        up = flipped & masks[y]
-        out |= up >> y_shift | (flipped ^ up) << y_shift
-    return out
+        up = flipped & masks[y]  # a peg on y: the move is a jump
+        jumped |= up >> y_shift
+        unjumped |= (flipped ^ up) << y_shift
+    return jumped, unjumped
 
 
 def _has(states: int, s: int) -> bool:
@@ -220,7 +225,8 @@ def _levels(g: Graph, start: int, target: int | None = None) -> tuple[list[int],
     levels = [1 << start]
     seen = levels[0]
     while target is None or not _has(levels[-1], target):
-        frontier = _image(levels[-1], g) & ~seen
+        jumped, unjumped = _image(levels[-1], g)
+        frontier = (jumped | unjumped) & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -234,7 +240,8 @@ def _route(g: Graph, start: int, target: int, levels: list[int]) -> MoveSequence
     `target`. Narrows the levels in place."""
     levels[-1] = 1 << target
     for k in range(len(levels) - 2, -1, -1):
-        levels[k] &= _image(levels[k + 1], g)
+        jumped, unjumped = _image(levels[k + 1], g)
+        levels[k] &= jumped | unjumped
     triples = path_triples(g)
     chain = []
     s = start
@@ -373,43 +380,36 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
     return Classification(verdict, matrix)
 
 
-# ---------------------------------------------------------------------------
-# min_unjumps: one state at a time
-# ---------------------------------------------------------------------------
+def _layer_of(layers: list[int], s: int) -> int:
+    """The index of the layer that holds state s."""
+    return next(i for i, layer in enumerate(layers) if _has(layer, s))
 
 
-@lru_cache(maxsize=256)
-def _scan_table(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """(tag, mask, bx|by, bz) per path triple, tag = 1-based index into
-    path_triples(g).
-
-    The search loop tests the move rule inline on this projection instead
-    of calling a helper: that saves a Python function call per triple in
-    the hot loop.
-    """
-    return tuple(
-        (tag, mask, on_jump, on_unjump)
-        for tag, (_, _, _, mask, on_jump, on_unjump) in enumerate(path_triples(g), 1)
-    )
-
-
-def _new_tags(n: int) -> array:
-    return array("I", bytes(4 << n))
-
-
-def _rebuild(g: Graph, start: int, target: int, tags: array) -> MoveSequence:
-    """Walk the tags back from `target` to `start` into a move sequence.
-
-    tags[t] is the 1-based path_triples index of the move that last
-    improved t; its predecessor is t xor that triple's mask.
-    """
+def _unjump_route(
+    g: Graph, start: int, target: int, levels: list[list[int]]
+) -> MoveSequence:
+    """Walk back from `target`, which lies in the last of the unjump
+    `levels`, to `start` (see the module docstring for the rule)."""
     triples = path_triples(g)
     chain = []
     t = target
+    k = len(levels) - 1
+    i = _layer_of(levels[k], t)
     while t != start:
-        x, y, z, mask, on_jump, _ = triples[tags[t] - 1]
-        t ^= mask
-        chain.append(Move(JUMP if t & mask == on_jump else UNJUMP, x, y, z))
+        if i:
+            i -= 1
+            kind, source = JUMP, levels[k][i]
+        else:
+            k -= 1
+            kind, source = UNJUMP, reduce(or_, levels[k])
+        for x, y, z, mask, on_jump, on_unjump in triples:
+            s = t ^ mask
+            if s & mask == (on_jump if kind is JUMP else on_unjump) and _has(source, s):
+                break
+        chain.append(Move(kind, x, y, z))
+        t = s
+        if kind is UNJUMP:
+            i = _layer_of(levels[k], t)
     chain.reverse()
     return MoveSequence(Configuration(g.n, start), tuple(chain))
 
@@ -419,51 +419,34 @@ def min_unjumps(
 ) -> MinUnjumpResult | None:
     """Minimum unjumps over all solving sequences from the one-hole start.
 
-    0/1-cost shortest path over the state space (jumps free, unjumps cost
-    one) with a deque; the witness attains the minimum. Returns None when
-    the start is not solvable at all.
+    Searches state sets level by level, level k holding the states first
+    reached with k unjumps, up to the first level with a single-peg state;
+    the witness ends on the smallest such peg and attains the minimum.
+    Returns None when the start is not solvable at all.
     """
     if not is_connected(g):
         raise DisconnectedGraph("min_unjumps requires a connected graph")
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     check_budget(g.n, memory_budget, witness=True)
-    table = _scan_table(g)
-    size = 1 << g.n
-    INF = size + 1
-    dist = array("i", [INF]) * size
-    tags = _new_tags(g.n)
+    singles = sum(1 << mask for mask, _ in _single_peg_states(g.n))
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    dist[start] = 0
-    dq = deque(((0, start),))
-    best = INF  # fewest unjumps to a single peg popped so far
-    while dq:
-        d, s = dq.popleft()
-        if d > best:
-            break  # every state at distance <= best is final
-        if d > dist[s]:
-            continue
-        if s and not s & (s - 1):
-            best = d
-        for tag, mask, on_jump, on_unjump in table:
-            on = s & mask
-            if on == on_jump:
-                cost = 0
-            elif on == on_unjump:
-                cost = 1
-            else:
-                continue
-            t = s ^ mask
-            nd = d + cost
-            if nd < dist[t]:
-                dist[t] = nd
-                tags[t] = tag
-                if cost:
-                    dq.append((nd, t))
-                else:
-                    dq.appendleft((nd, t))
-    ends = [mask for mask, _ in _single_peg_states(g.n) if dist[mask] < INF]
-    if not ends:
-        return None
-    target = min(ends, key=dist.__getitem__)
-    return MinUnjumpResult(dist[target], _rebuild(g, start, target, tags))
+    levels: list[list[int]] = []  # the jump layers of each level
+    seen = layer = 1 << start
+    while layer:
+        layers = []
+        by_unjump = 0  # the states one unjump from this level
+        while layer:
+            layers.append(layer)
+            jumped, unjumped = _image(layer, g)
+            by_unjump |= unjumped
+            layer = jumped & ~seen
+            seen |= layer
+        levels.append(layers)
+        ends = reduce(or_, layers) & singles
+        if ends:
+            target = (ends & -ends).bit_length() - 1
+            return MinUnjumpResult(len(levels) - 1, _unjump_route(g, start, target, levels))
+        layer = by_unjump & ~seen
+        seen |= layer
+    return None

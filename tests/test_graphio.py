@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -102,3 +103,20 @@ class TestWitnessJson:
     def test_bad_witness(self):
         with pytest.raises(ParseError):
             witness_from_json({"start": {"n": 3, "pegs": [1]}, "moves": [{"kind": "hop"}]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 6.5), ("n", True), ("peg", 4.9), ("peg", True), ("peg", "2"),
+        ("x", 4.9), ("y", True), ("z", False), ("z", "3"), ("z", None),
+    ])
+    def test_non_integer_refused(self, field, value):
+        obj = witness_to_json(
+            MoveSequence(Configuration.with_hole(4, 2), (jump(4, 3, 2), unjump(2, 3, 4)))
+        )
+        if field == "n":
+            obj["start"]["n"] = value
+        elif field == "peg":
+            obj["start"]["pegs"][1] = value
+        else:
+            obj["moves"][1][field] = value
+        with pytest.raises(ParseError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            witness_from_json(obj)

@@ -5,7 +5,12 @@ the parent-pointer BFS with its rebuild, the class-sweep BFS, the 0/1-cost
 deque search of min_unjumps, the per-state move generator and the
 hand-written within-H route search. They keep the earlier code apart from
 names, so the single kernel in ``revpeg.oracle`` must reproduce their end
-sets, witnesses, unjump counts, partitions and routes exactly.
+sets, witnesses, unjump counts, end pegs, partitions and routes exactly.
+
+The one exception is the min_unjumps witness: the deque's choice follows
+its LIFO order inside a level, which a search over state sets does not
+see. ``ref_unjump_witness`` states the rule the oracle uses instead, one
+state at a time, and the oracle must reproduce it exactly.
 
 ``PYTHONPATH=src python tests/test_kernel_differential.py N`` runs the
 check over every labeled connected graph on N vertices.
@@ -31,6 +36,7 @@ from revpeg.model import (
     Move,
     MoveSequence,
     legal_moves,
+    replay,
 )
 from revpeg.oracle import (
     equivalence_partition,
@@ -202,6 +208,66 @@ def ref_min_unjumps(g, hole):
     return dist[best], ref_rebuild(g, start, best, parent_state, parent_triple)
 
 
+def ref_unjump_labels(g, start):
+    """(unjumps, jump layer) of every state reachable from `start`: level
+    k + 1 starts from the unlabeled states one unjump from level k, and a
+    FIFO search over jumps gives the layers inside a level."""
+    triples = ref_directed_triples(g)
+    label = {start: (0, 0)}
+    seeds = [start]
+    k = 0
+    while seeds:
+        queue = deque(seeds)
+        level = []
+        while queue:
+            s = queue.popleft()
+            level.append(s)
+            i = label[s][1]
+            for mask, bx, by, bz in triples:
+                t = s ^ mask
+                if s & bx and s & by and not s & bz and t not in label:
+                    label[t] = (k, i + 1)
+                    queue.append(t)
+        k += 1
+        seeds = []
+        for s in level:
+            for mask, bx, by, bz in triples:
+                t = s ^ mask
+                if not s & bx and not s & by and s & bz and t not in label:
+                    label[t] = (k, 0)
+                    seeds.append(t)
+    return label
+
+
+def ref_unjump_witness(g, hole):
+    """The min_unjumps witness by its rule: end on the smallest single peg
+    with the fewest unjumps, and walk back taking the first triple whose
+    move is a jump from the previous layer of the same level, or, from a
+    level's first layer, an unjump from the previous level."""
+    start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
+    label = ref_unjump_labels(g, start)
+    ends = [1 << (v - 1) for v in g.vertices() if 1 << (v - 1) in label]
+    if not ends:
+        return None
+    triples = ref_directed_triples(g)
+    moves_xyz = ref_triple_moves(g)
+    chain = []
+    t = min(ends, key=lambda e: label[e][0])
+    while t != start:
+        k, i = label[t]
+        for (mask, bx, by, bz), (x, y, z) in zip(triples, moves_xyz):
+            s = t ^ mask
+            if i and s & bx and s & by and not s & bz and label[s] == (k, i - 1):
+                chain.append(Move(JUMP, x, y, z))
+                break
+            if not i and not s & bx and not s & by and s & bz and label[s][0] == k - 1:
+                chain.append(Move(UNJUMP, x, y, z))
+                break
+        t = s
+    chain.reverse()
+    return MoveSequence(Configuration(g.n, start), tuple(chain))
+
+
 def ref_h_route(src, dst):
     """Early-exit BFS over within-H moves; None when dst is unreachable."""
     if src == dst:
@@ -270,7 +336,13 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
             assert witness_to(g, hole, peg) == want
         ref = ref_min_unjumps(g, hole)
         got = min_unjumps(g, hole)
-        assert (None if got is None else (got.count, got.witness)) == ref
+        if ref is None:
+            assert got is None
+        else:
+            count, deque_witness = ref
+            assert got.count == count
+            assert replay(g, got.witness) == replay(g, deque_witness)
+            assert got.witness == ref_unjump_witness(g, hole)
 
 
 def test_legal_moves_h():

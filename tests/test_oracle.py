@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from revpeg import oracle
 from revpeg.errors import CapacityExceeded, DisconnectedGraph, PreconditionFailed
 from revpeg.families import (
     cycle_graph,
@@ -12,7 +13,7 @@ from revpeg.families import (
     paw_graph,
     star_graph,
 )
-from revpeg.model import JUMP, Configuration, Graph, MoveSequence, legal_moves, replay
+from revpeg.model import JUMP, UNJUMP, Configuration, Graph, MoveSequence, legal_moves, replay
 from revpeg.oracle import (
     Verdict,
     classify,
@@ -109,13 +110,13 @@ class TestStateSets:
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             g = Graph(n, [e for e in pairs if rng.random() < 0.4])
             states = rng.sample(range(1 << n), rng.randint(0, 1 << n))
-            want = {
-                s ^ m.mask()
-                for s in states
-                for m in legal_moves(g, Configuration(n, s))
-            }
-            got = _image(sum(1 << s for s in states), g)
-            assert _members(got) == sorted(want), (g.sorted_edges(), states)
+            want = {JUMP: set(), UNJUMP: set()}
+            for s in states:
+                for m in legal_moves(g, Configuration(n, s)):
+                    want[m.kind].add(s ^ m.mask())
+            jumped, unjumped = _image(sum(1 << s for s in states), g)
+            assert _members(jumped) == sorted(want[JUMP]), (g.sorted_edges(), states)
+            assert _members(unjumped) == sorted(want[UNJUMP]), (g.sorted_edges(), states)
 
     def test_edgeless_partition_is_fast(self):
         t0 = time.perf_counter()
@@ -147,10 +148,21 @@ class TestReachableSet:
             d = rng.choice(sorted(ball, key=lambda x: x.pegs))
             assert c in reachable_set(g, d)
 
-    def test_budget_enforced(self):
-        g = path_graph(10)
+    @pytest.mark.parametrize("query", [
+        lambda g, budget: reachable_set(g, Configuration.full(g.n), budget),
+        lambda g, budget: min_unjumps(g, 2, budget),
+        lambda g, budget: solve_from(g, 2, budget),
+        lambda g, budget: witness_to(g, 2, 5, budget),
+        lambda g, budget: classify(g, budget),
+    ], ids=["reachable_set", "min_unjumps", "solve_from", "witness_to", "classify"])
+    def test_budget_enforced(self, query, monkeypatch):
+        def allocate(n):
+            raise AssertionError("state sets allocated before the budget check")
+
+        # every search starts by building the per-bit masks
+        monkeypatch.setattr(oracle, "_bit_masks", allocate)
         with pytest.raises(CapacityExceeded):
-            reachable_set(g, Configuration.full(10), memory_budget=1024)
+            query(path_graph(10), 1024)
 
 
 class TestEquivalencePartition:
