@@ -104,6 +104,8 @@ def load_graph_spec(spec: str) -> Graph:
                 return parse_graph(fh.read())
     except ValidationError as exc:
         raise ParseError(f"invalid graph {spec!r}: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise ParseError(f"cannot read graph {spec!r}: {exc}")
     raise ParseError(
         f"{spec!r} is neither a family spec (path:N, cycle:N, star:N, "
         "doublestar:L,R, H) nor a readable file"

@@ -95,6 +95,9 @@ def configuration_from_json(obj: dict) -> Configuration:
     try:
         n = _json_int(obj["n"], "configuration n")
         pegs = [_json_int(v, "configuration peg") for v in obj["pegs"]]
+        if len(set(pegs)) < len(pegs):
+            v = next(v for i, v in enumerate(pegs) if v in pegs[i + 1 :])
+            raise ParseError(f"configuration peg {v} is repeated")
         return Configuration.from_vertices(n, pegs)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad configuration object: {exc}")

@@ -28,11 +28,12 @@ moves in ``path_triples`` order and keeps each state's first discoverer: of
 all fewest-move sequences, the one whose list of ``path_triples`` indices is
 lexicographically smallest. (By induction over levels: that search dequeues
 each level in the lexicographic order of its states' index lists, so each
-state inherits the smallest list of any predecessor.) ``_route`` keeps the
-levels L_0 .. L_D of the set search up to the target, narrows them backward
-to B_D = {target}, B_k = image(B_(k+1)) & L_k, the states of L_k on some
-fewest-move route, and walks forward from the start, taking at each step
-the first legal triple whose move lands in B_(k+1).
+state inherits the smallest list of any predecessor.) ``_route`` searches
+backward from the target to the level R_D that holds the start, then walks
+forward taking, from the k-th state, the first legal triple that lands in
+R_(D-k-1): the neighbours k + 1 moves from the start on a fewest-move
+route, since a neighbour is at most k + 1 moves from the start, and at
+least k + 1 if it is D - k - 1 moves from the target.
 
 ``min_unjumps`` searches levels by unjump count: U_0 is the jump closure
 of the start, U_(k+1) the jump closure of the states one unjump from U_k
@@ -234,18 +235,19 @@ def _levels(g: Graph, start: int, target: int | None = None) -> tuple[list[int],
     return levels, seen
 
 
-def _route(g: Graph, start: int, target: int, levels: list[int]) -> MoveSequence:
+def _route(g: Graph, start: int, target: int) -> MoveSequence | None:
     """The lexicographically first fewest-move sequence from `start` to
-    `target`, given the BFS levels from `start` up to the one holding
-    `target`. Narrows the levels in place."""
-    levels[-1] = 1 << target
-    for k in range(len(levels) - 2, -1, -1):
-        jumped, unjumped = _image(levels[k + 1], g)
-        levels[k] &= jumped | unjumped
+    `target`, or None when `target` is not reachable: a search backward from
+    `target`, then a forward walk that takes, from the k-th state, the first
+    legal triple into backward level D - k - 1, which is k + 1 moves from
+    `start` (see the module docstring)."""
+    back, _ = _levels(g, target, start)
+    if not _has(back[-1], start):
+        return None
     triples = path_triples(g)
     chain = []
     s = start
-    for on_route in levels[1:]:
+    for on_route in reversed(back[:-1]):
         for x, y, z, mask, on_jump, on_unjump in triples:
             on = s & mask
             if (on == on_jump or on == on_unjump) and _has(on_route, s ^ mask):
@@ -258,11 +260,10 @@ def _route(g: Graph, start: int, target: int, levels: list[int]) -> MoveSequence
 def shortest_route(
     g: Graph, src: int, dst: int, memory_budget: int | None = None
 ) -> MoveSequence | None:
-    """Fewest-moves sequence from peg mask `src` to peg mask `dst`, or None
-    when `dst` is not reachable."""
+    """The lexicographically first fewest-move sequence from peg mask `src`
+    to peg mask `dst`, or None when `dst` is not reachable: see ``_route``."""
     check_budget(g.n, memory_budget, witness=True)
-    levels, _ = _levels(g, src, dst)
-    return _route(g, src, dst, levels) if _has(levels[-1], dst) else None
+    return _route(g, src, dst)
 
 
 def reachable_set(
@@ -312,9 +313,8 @@ def solve_from(
 ) -> SolveResult | None:
     """All end pegs reachable from the one-hole start, plus one witness.
 
-    The witness goes to the smallest reachable end-peg vertex; it is a
-    fewest-moves sequence by construction (plain BFS). Returns None when no
-    single-peg state is reachable.
+    The witness is the ``_route`` to the smallest end peg, from a search
+    backward from it. Returns None when no single-peg state is reachable.
     """
     if not is_connected(g):
         raise DisconnectedGraph("solve_from requires a connected graph")
@@ -322,13 +322,11 @@ def solve_from(
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     check_budget(g.n, memory_budget, witness=True)
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    levels, seen = _levels(g, start)
+    _, seen = _levels(g, start)
     end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if _has(seen, mask))
     if not end_pegs:
         return None
-    target = 1 << (min(end_pegs) - 1)
-    depth = next(k for k, level in enumerate(levels) if _has(level, target))
-    return SolveResult(end_pegs, _route(g, start, target, levels[: depth + 1]))
+    return SolveResult(end_pegs, _route(g, start, 1 << (min(end_pegs) - 1)))
 
 
 def witness_to(

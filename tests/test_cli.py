@@ -385,6 +385,17 @@ class TestBadInputs:
         assert main(["verify", str(wf), "path:3"]) == 1
         assert "cannot read witness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+    def test_unreadable_graph_file(self, capsys, tmp_path, unreadable):
+        spec = tmp_path
+        if unreadable == "not-utf8":
+            spec = tmp_path / "g.txt"
+            spec.write_bytes(b"\xff\xfe 3 2\n1 2\n2 3\n")
+        assert main(["classify", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: cannot read graph")
+        assert "Traceback" not in err
+
     def test_census_reversed_n_range(self, capsys):
         assert main(["census", "--max-n", "2", "--samples", "1", "--n-range", "10:7"]) == 1
         assert "--n-range" in capsys.readouterr().err

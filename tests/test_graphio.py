@@ -104,6 +104,11 @@ class TestWitnessJson:
         with pytest.raises(ParseError):
             witness_from_json({"start": {"n": 3, "pegs": [1]}, "moves": [{"kind": "hop"}]})
 
+    def test_repeated_peg_refused(self):
+        obj = {"start": {"n": 3, "pegs": [1, 1, 2]}, "moves": []}
+        with pytest.raises(ParseError, match="configuration peg 1 is repeated"):
+            witness_from_json(obj)
+
     @pytest.mark.parametrize("field, value", [
         ("n", 6.5), ("n", True), ("peg", 4.9), ("peg", True), ("peg", "2"),
         ("x", 4.9), ("y", True), ("z", False), ("z", "3"), ("z", None),

@@ -42,6 +42,7 @@ from revpeg.oracle import (
     equivalence_partition,
     min_unjumps,
     reachable_set,
+    shortest_route,
     solve_from,
     witness_to,
 )
@@ -317,6 +318,17 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
     for _ in range(20):
         c = Configuration(g.n, rng.randrange(1 << g.n))
         assert legal_moves(g, c) == ref_legal_moves(g, c)
+    # routes between arbitrary masks, reachable or not, drawn from their own
+    # generator so that the caller's rng draws stay as they were
+    pairs = random.Random(repr((g.n, g.sorted_edges())))
+    for _ in range(3):
+        src = pairs.randrange(1 << g.n)
+        visited, parent_state, parent_triple = ref_witness_bfs(g, src)
+        reached = [t for t in range(1 << g.n) if visited[t]]
+        for dst in (pairs.randrange(1 << g.n), pairs.choice(reached)):
+            want = (ref_rebuild(g, src, dst, parent_state, parent_triple)
+                    if visited[dst] else None)
+            assert shortest_route(g, src, dst) == want
     full = (1 << g.n) - 1
     for hole in holes or g.vertices():
         start = full ^ (1 << (hole - 1))
