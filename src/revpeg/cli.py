@@ -51,6 +51,7 @@ from .invariants import (
 from .model import Graph, MoveSequence, replay, trace
 from .oracle import (
     Verdict,
+    check_budget,
     classify,
     estimate_state_bytes,
     min_unjumps,
@@ -291,6 +292,15 @@ def cmd_table(args, report: dict) -> int:
 
 
 def cmd_census(args, report: dict) -> int:
+    # Refuse before enumerating anything: n = 8 has 2^28 edge subsets, and
+    # every censused graph goes through the exact oracle.
+    if args.max_n >= 8:
+        raise CapacityExceeded(
+            "census enumerates all 2^(n(n-1)/2) edge subsets; "
+            f"--max-n must be at most 7, got {args.max_n}"
+        )
+    sampled = args.n_range[1] if args.samples > 0 else 1
+    check_budget(max(args.max_n, sampled, 1), args.memory_budget)
     tasks: list[tuple[int, tuple]] = []
     for n in range(2, args.max_n + 1):
         for g in census_mod.labeled_connected_graphs(n):

@@ -31,7 +31,6 @@ even-path jump sweep finishes, all on the real vertices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +54,7 @@ from .model import (
     Move,
     MoveSequence,
     _pattern_ok,
+    bfs,
     is_connected,
 )
 from .oracle import solve_from
@@ -189,16 +189,8 @@ def find_spanning_tree(g: Graph) -> WorkingTree:
     if g.max_degree() < 3:
         raise PreconditionFailed("need a vertex of degree >= 3")
     root = min(v for v in g.vertices() if g.degree(v) >= 3)
-    parent = {root: 0}
-    order = deque((root,))
-    edges = set()
-    while order:
-        u = order.popleft()
-        for w in g.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                edges.add((min(u, w), max(u, w)))
-                order.append(w)
+    _, parent, order = bfs(g.adj, (root,))
+    edges = {(min(v, parent[v]), max(v, parent[v])) for v in order[1:]}
     if len(edges) == g.n - 1 and all(root in e for e in edges):
         # BFS tree is a star, so root is adjacent to everything; g is not a
         # star, so it has an edge avoiding root. Reattach one endpoint.
@@ -289,34 +281,21 @@ def _build_frame(t: WorkingTree, emb: HEmbedding) -> _Frame:
     """Multi-source BFS from H in letter order a..e over the tree, so that
     `toward[v]` is the next vertex on the unique tree path from v to H,
     `attach[v]` the H vertex it reaches (equidistant vertices are claimed by
-    the earlier letter); then the absorption order by bucketing on `dist`."""
+    the earlier letter); then the absorption order by (`dist`, vertex)."""
     tree = t.tree
     a, b, c, d, e = vs = emb.vertices
     if len(set(vs)) != 5 or not all(
         tree.has_edge(u, w) for u, w in ((a, c), (b, c), (c, d), (d, e))
     ):
         raise PreconditionFailed(f"{emb} is not an embedded H in the working tree")
-    dist = [-1] * (tree.n + 1)
-    toward = [0] * (tree.n + 1)
-    attach = [0] * (tree.n + 1)
-    for v in vs:
-        dist[v] = 0
-        attach[v] = v
-    queue = deque(vs)
-    while queue:
-        u = queue.popleft()
-        for w in tree.adj[u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                toward[w] = u
-                attach[w] = attach[u]
-                queue.append(w)
-    buckets: list[list[int]] = [[] for _ in range(max(dist) + 1)]
-    for v in tree.vertices():  # ascending, so each bucket is sorted
-        if dist[v] < 0:
-            raise PreconditionFailed(f"vertex {v} is not connected to H in the working tree")
-        buckets[dist[v]].append(v)
-    order = tuple(v for bucket in buckets[1:] for v in bucket)
+    dist, toward, reached = bfs(tree.adj, vs)
+    if len(reached) < tree.n:
+        v = dist.index(-1, 1)
+        raise PreconditionFailed(f"vertex {v} is not connected to H in the working tree")
+    attach = list(range(tree.n + 1))
+    for v in reached[5:]:
+        attach[v] = attach[toward[v]]
+    order = tuple(sorted(reached[5:], key=lambda v: (dist[v], v)))
     h_mask = sum(1 << (v - 1) for v in vs)
     return _Frame(emb, tuple(dist), tuple(toward), tuple(attach), h_mask, order)
 
@@ -565,23 +544,16 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
     if peg == target:
         return seq
     hops = _lone_peg_hops(g)
-    parent: dict[int, tuple[int, tuple]] = {peg: None}  # type: ignore[dict-item]
-    queue = deque((peg,))
-    while queue and target not in parent:
-        u = queue.popleft()
-        for w, label in hops[u]:
-            if w not in parent:
-                parent[w] = (u, label)
-                queue.append(w)
-    if target not in parent:
+    dist, parent, _ = bfs([[w for w, _ in row] for row in hops], (peg,))
+    if dist[target] < 0:
         raise InvariantViolation(
             "lone-peg routing failed although the doubly-free predicate holds"
         )
     chain = []
     v = target
     while v != peg:
-        u, label = parent[v]
-        chain.append(label)
+        u = parent[v]
+        chain.append(next(label for w, label in hops[u] if w == v))
         v = u
     chain.reverse()
     moves = list(seq.moves)

@@ -9,7 +9,7 @@ edges 1-3, 2-3, 3-4, 4-5.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .model import Graph, is_connected
+from .model import Graph, bfs, is_connected
 
 
 def path_graph(n: int) -> Graph:
@@ -62,24 +62,16 @@ def is_star_shape(g: Graph) -> bool:
 def path_order(g: Graph) -> list[int] | None:
     """Vertices of g in line order if g is a path, else None.
 
-    Starts from the smaller endpoint, so the result is deterministic.
+    A path is a connected graph with n - 1 edges and two leaves; its BFS
+    order from the smaller leaf is the line order.
     """
     if g.n == 1:
-        return [1] if not g.edges else None
-    if len(g.edges) != g.n - 1:
-        return None
+        return [1]
     ends = [v for v in g.vertices() if g.degree(v) == 1]
-    if len(ends) != 2 or any(g.degree(v) != 2 for v in g.vertices() if v not in ends):
+    if len(g.edges) != g.n - 1 or len(ends) != 2:
         return None
-    order = [min(ends)]
-    prev = 0
-    while len(order) < g.n:
-        nxt = [w for w in g.neighbors(order[-1]) if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order if len(set(order)) == g.n else None
+    order = bfs(g.adj, (ends[0],))[2]
+    return order if len(order) == g.n else None
 
 
 def cycle_order(g: Graph) -> list[int] | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .families import cycle_graph, double_star, h_graph, path_graph, star_graph
 from .model import Configuration, Graph, Move, MoveKind, MoveSequence
 
@@ -101,6 +101,8 @@ def configuration_from_json(obj: dict) -> Configuration:
         return Configuration.from_vertices(n, pegs)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad configuration object: {exc}")
+    except ValidationError as exc:
+        raise ParseError(f"configuration {'n' if n < 1 else 'pegs'}: {exc}")
 
 
 def move_to_json(m: Move) -> dict:

@@ -20,12 +20,11 @@ every connected graph; the exact oracle must reproduce them verbatim, which
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, IllDefined, PreconditionFailed
 from .families import cycle_order, is_star_shape, path_order, star_graph
-from .model import Configuration, Graph, is_connected, path_triples
+from .model import Configuration, Graph, bfs, is_connected, path_triples
 from .oracle import Verdict
 from .quaternion import I, J, K, Quaternion, q_product
 
@@ -155,7 +154,8 @@ class BinaryWeighting:
 
 def _mod3_weights(g: Graph, base: int) -> dict[int, int]:
     """Weight 0 at BFS distance divisible by 3 from ``base``, 1 elsewhere
-    (unreachable vertices too). For a base of degree >= 3 this is exact:
+    (unreachable vertices too: their distance -1 is 2 mod 3). For a base of
+    degree >= 3 this is exact:
 
     * With no ``_weight_conflict``, a degree-3 vertex has weight 0 (three
       neighbours cannot pairwise sum to 1), and from it the weights along
@@ -168,15 +168,8 @@ def _mod3_weights(g: Graph, base: int) -> dict[int, int]:
       [k mod 3 != 0] from either end, and every 3-path holds exactly one
       weight-0 vertex.
     """
-    residue = {base: 0}
-    queue = deque((base,))
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in residue:
-                residue[w] = (residue[u] + 1) % 3
-                queue.append(w)
-    return {v: 0 if residue.get(v) == 0 else 1 for v in g.vertices()}
+    dist = bfs(g.adj, (base,))[0]
+    return {v: 0 if dist[v] % 3 == 0 else 1 for v in g.vertices()}
 
 
 def _weight_conflict(g: Graph, weight: dict[int, int]) -> tuple[int, int, int] | None:

@@ -12,6 +12,11 @@ and either move flips ``mask``. ``path_triples`` tabulates the triples;
 ``legal_moves``, ``replay``, the oracle's searches and the constructive
 solvers all apply this rule.
 
+``bfs`` is the one search over vertices; every vertex-level search in the
+package calls it. It scans the sources in the order given and each
+adjacency list in order, and a vertex's first discoverer is its parent:
+that order pins every witness built on a search.
+
 Everything here is an immutable value and every operation is a pure
 function.
 """
@@ -95,22 +100,28 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def bfs(adj, sources) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search over ``adj`` (``adj[v]`` lists v's neighbours)
+    from the distinct ``sources``, in the order the module docstring pins:
+    ``(dist, parent, order)``, ``order`` listing the reached vertices as
+    found. Sources get parent 0; unreached vertices dist -1 and parent 0."""
+    dist = [-1] * len(adj)
+    parent = [0] * len(adj)
+    order = list(sources)
+    for v in order:
+        dist[v] = 0
+    for u in order:  # a list read while it grows is the FIFO queue
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                order.append(w)
+    return dist, parent, order
+
+
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability of every vertex from vertex 1."""
-    if g.n == 1:
-        return True
-    seen = [False] * (g.n + 1)
-    seen[1] = True
-    stack = [1]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return len(bfs(g.adj, (1,))[2]) == g.n
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,9 @@ class Configuration:
     pegs: int
 
     def __post_init__(self):
-        if not (1 <= self.n <= CAPACITY):
+        if self.n < 1:
+            raise ValidationError(f"vertex count must be >= 1, got n={self.n}")
+        if self.n > CAPACITY:
             raise CapacityExceeded(
                 f"configurations support 1..{CAPACITY} vertices, got n={self.n}"
             )

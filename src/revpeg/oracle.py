@@ -262,6 +262,9 @@ def shortest_route(
 ) -> MoveSequence | None:
     """The lexicographically first fewest-move sequence from peg mask `src`
     to peg mask `dst`, or None when `dst` is not reachable: see ``_route``."""
+    for mask in (src, dst):
+        if not 0 <= mask < 1 << g.n:
+            raise PreconditionFailed(f"peg mask {mask} is not a state on {g.n} vertices")
     check_budget(g.n, memory_budget, witness=True)
     return _route(g, src, dst)
 

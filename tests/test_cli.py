@@ -233,6 +233,19 @@ class TestVerify:
         assert rep["results"]["legal"] is False
         assert rep["results"]["illegal_move_index"] == 0
 
+    @pytest.mark.parametrize("start, why", [
+        ({"n": 3, "pegs": [1, 99]}, "configuration pegs: peg vertex 99 outside 1..3"),
+        ({"n": 0, "pegs": []}, "configuration n: vertex count must be >= 1, got n=0"),
+        ({"n": 3, "pegs": [1.5]}, "configuration peg must be an integer, got 1.5"),
+    ], ids=["peg-out-of-range", "n-zero", "float-peg"])
+    def test_bad_start_is_a_parse_error(self, capsys, tmp_path, start, why):
+        wf = tmp_path / "w.json"
+        wf.write_text(json.dumps({"start": start, "moves": []}))
+        assert main(["verify", str(wf), "path:3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert why in captured.err
+
     def test_witness_for_wrong_graph_size(self, capsys, tmp_path):
         seq = MoveSequence(Configuration.with_hole(3, 3), (jump(1, 2, 3),))
         wf = tmp_path / "w.json"
@@ -333,6 +346,32 @@ class TestCensus:
         )
         assert code == 0
         assert rep["results"]["graphs_checked"] == 6
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--memory-budget", "512", "census", "--max-n", "5"], "2^5 states need ~768 bytes"),
+        (["census", "--max-n", "8"], "--max-n must be at most 7, got 8"),
+        (["census", "--max-n", "40"], "--max-n must be at most 7, got 40"),
+        (["--memory-budget", "512", "census", "--max-n", "2", "--samples", "1",
+          "--n-range", "4:5"], "2^5 states need ~768 bytes"),
+    ], ids=["budget-max-n", "max-n-8", "max-n-40", "budget-n-range"])
+    def test_census_refuses_up_front(self, capsys, monkeypatch, argv, why):
+        import revpeg.cli as cli_mod
+
+        def never(args):
+            raise AssertionError("a refused census checked a graph")
+
+        monkeypatch.setattr(cli_mod.census_mod, "check_graph_edges", never)
+        monkeypatch.setattr(cli_mod.census_mod, "labeled_connected_graphs", never)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert why in captured.err
+
+    def test_census_budget_covers_only_sizes_it_classifies(self, capsys):
+        # n-range HI counts only when sampling, and n = 4 fits 512 bytes
+        code, rep = run_cli(capsys, "--memory-budget", "512", "census", "--max-n", "4",
+                            "--n-range", "7:30")
+        assert code == 0 and rep["results"]["graphs_checked"] == 43
 
     def test_census_threads_match_sequential(self, capsys):
         code1, rep1 = run_cli(capsys, "census", "--max-n", "4")

@@ -3,10 +3,11 @@
 The reference functions below are the earlier constructive solver: the
 4-path macro and the within-H walk on validated ``Configuration`` objects,
 a BFS from H and a scan for the nearest outside peg on every absorption,
-and a spanning tree per solve. They keep the earlier code apart from names,
-so ``solve_constructive`` and ``solve_constructive_to`` in
-``revpeg.construct`` must reproduce their move lists exactly, and raise the
-same exception types where they refuse.
+and a spanning tree per solve, built by its own queue loop. They keep the
+earlier code apart from names, so ``solve_constructive`` and
+``solve_constructive_to`` in ``revpeg.construct`` must reproduce their move
+lists exactly, and raise the same exception types where they refuse;
+``find_spanning_tree`` must return the same working tree.
 
 ``PYTHONPATH=src python tests/test_construct_differential.py N`` runs the
 check from every hole of every labeled connected graph on N vertices.
@@ -18,11 +19,12 @@ from collections import deque
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, relabeled
 from revpeg.census import labeled_connected_graphs
 from revpeg.construct import (
     _lone_peg_hops,
     _solve_paw_four,
+    WorkingTree,
     find_h_embedding,
     find_spanning_tree,
     solve_constructive,
@@ -114,6 +116,36 @@ def ref_transform_within_h(emb, c, target_pegs):
     for m in moves:
         out = apply_move(out, m)
     return out, MoveSequence(c, moves)
+
+
+def ref_find_spanning_tree(g):
+    if not is_connected(g):
+        raise PreconditionFailed("graph must be connected")
+    if g.n < 5:
+        raise PreconditionFailed("spanning-tree routine needs n >= 5")
+    if is_star_shape(g):
+        raise PreconditionFailed("stars have no working tree")
+    if g.max_degree() < 3:
+        raise PreconditionFailed("need a vertex of degree >= 3")
+    root = min(v for v in g.vertices() if g.degree(v) >= 3)
+    parent = {root: 0}
+    order = deque((root,))
+    edges = set()
+    while order:
+        u = order.popleft()
+        for w in g.adj[u]:
+            if w not in parent:
+                parent[w] = u
+                edges.add((min(u, w), max(u, w)))
+                order.append(w)
+    if len(edges) == g.n - 1 and all(root in e for e in edges):
+        u, v = min(e for e in g.sorted_edges() if root not in e)
+        edges.remove((min(root, u), max(root, u)))
+        edges.add((u, v))
+    tree = Graph(g.n, sorted(edges))
+    if tree.degree(root) < 3 or is_star_shape(tree):
+        raise InvariantViolation("working tree construction failed")
+    return WorkingTree(tree, root)
 
 
 def ref_bfs_to_h(tree, emb):
@@ -222,7 +254,7 @@ def ref_solve_constructive(g, hole):
         raise PreconditionFailed("no vertex of degree >= 3")
     if g.n == 4:
         return _solve_paw_four(g, hole)
-    t = find_spanning_tree(g)
+    t = ref_find_spanning_tree(g)
     emb = find_h_embedding(t)
     start = Configuration.with_hole(g.n, hole)
     moves = []
@@ -298,8 +330,10 @@ def outcome(fn, *args):
 
 
 def assert_solvers_agree(g, holes=None, targets=()):
-    """Compare solve_constructive from every hole in `holes` (default: all),
-    and solve_constructive_to for each (hole, target) pair in `targets`."""
+    """Compare the working tree, solve_constructive from every hole in
+    `holes` (default: all), and solve_constructive_to for each (hole,
+    target) pair in `targets`."""
+    assert outcome(find_spanning_tree, g) == outcome(ref_find_spanning_tree, g)
     for hole in holes or g.vertices():
         assert outcome(solve_constructive, g, hole) == outcome(ref_solve_constructive, g, hole)
     for hole, target in targets:
@@ -362,6 +396,13 @@ def test_seeded_graphs_with_long_tails():
     for n in (10, 13, 16, 20):
         g = random_connected_graph(rng, n, extra=1)
         assert_solvers_agree(g, targets=seeded_targets(rng, n, 4))
+
+
+def test_seeded_relabeled_spanning_trees():
+    rng = random.Random(5151)
+    for n in range(1, 65):
+        g = relabeled(rng, random_connected_graph(rng, n, extra=rng.randint(0, 3)))
+        assert outcome(find_spanning_tree, g) == outcome(ref_find_spanning_tree, g)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from revpeg.errors import ParseError, ValidationError
+from revpeg.errors import CapacityExceeded, ParseError, ValidationError
 from revpeg.families import double_star, h_graph, path_graph, star_graph
 from revpeg.graphio import (
     parse_graph,
@@ -108,6 +108,19 @@ class TestWitnessJson:
         obj = {"start": {"n": 3, "pegs": [1, 1, 2]}, "moves": []}
         with pytest.raises(ParseError, match="configuration peg 1 is repeated"):
             witness_from_json(obj)
+
+    @pytest.mark.parametrize("start, why", [
+        ({"n": 3, "pegs": [1, 99]}, "configuration pegs: peg vertex 99 outside 1..3"),
+        ({"n": 0, "pegs": []}, "configuration n: vertex count must be >= 1, got n=0"),
+        ({"n": -2, "pegs": [1]}, "configuration n: peg vertex 1 outside 1..-2"),
+    ])
+    def test_invalid_start_is_a_parse_error(self, start, why):
+        with pytest.raises(ParseError, match=re.escape(why)):
+            witness_from_json({"start": start, "moves": []})
+
+    def test_oversize_start_stays_a_capacity_error(self):
+        with pytest.raises(CapacityExceeded):
+            witness_from_json({"start": {"n": 65, "pegs": []}, "moves": []})
 
     @pytest.mark.parametrize("field, value", [
         ("n", 6.5), ("n", True), ("peg", 4.9), ("peg", True), ("peg", "2"),

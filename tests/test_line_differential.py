@@ -4,10 +4,11 @@ The reference functions below are the earlier line solvers: a canonical
 path solution on the identity labeling, mirrored for the other residue
 class, a cycle solution rotated from the path one, and a relabeling pass
 that carries either onto a path- or cycle-shaped graph through its line
-order. They keep the earlier code apart from names, so ``solve_path``,
-``solve_cycle`` and ``line_solver_witness`` in ``revpeg.construct`` must
-reproduce their move lists exactly, and raise the same exception types
-with the same text where they refuse.
+order, found for a path by walking from its smaller end. They keep the
+earlier code apart from names, so ``solve_path``, ``solve_cycle`` and
+``line_solver_witness`` in ``revpeg.construct`` must reproduce their move
+lists exactly, and raise the same exception types with the same text where
+they refuse; ``path_order`` must return the same line order or None.
 
 ``PYTHONPATH=src python tests/test_line_differential.py N`` runs the check
 from every hole 0..N+1 of every labeled connected graph on N vertices.
@@ -18,7 +19,7 @@ import sys
 
 import pytest
 
-from conftest import relabeled
+from conftest import random_connected_graph, relabeled
 from revpeg.census import labeled_connected_graphs
 from revpeg.construct import (
     _even_sweep,
@@ -30,7 +31,7 @@ from revpeg.construct import (
 from revpeg.errors import IllegalMove, NotSolvableStart, PreconditionFailed, SolitaireError
 from revpeg.families import cycle_graph, cycle_order, path_graph, path_order
 from revpeg.invariants import classify_cycle, classify_path
-from revpeg.model import JUMP, Configuration, Move, MoveSequence
+from revpeg.model import JUMP, Configuration, Graph, Move, MoveSequence
 
 # ---------------------------------------------------------------------------
 # Reference solvers
@@ -112,8 +113,27 @@ def ref_line_witness(g, shape, order, hole):
     return MoveSequence(Configuration.with_hole(g.n, hole), moves)
 
 
+def ref_path_order(g):
+    if g.n == 1:
+        return [1] if not g.edges else None
+    if len(g.edges) != g.n - 1:
+        return None
+    ends = [v for v in g.vertices() if g.degree(v) == 1]
+    if len(ends) != 2 or any(g.degree(v) != 2 for v in g.vertices() if v not in ends):
+        return None
+    order = [min(ends)]
+    prev = 0
+    while len(order) < g.n:
+        nxt = [w for w in g.neighbors(order[-1]) if w != prev]
+        if len(nxt) != 1:
+            return None
+        prev = order[-1]
+        order.append(nxt[0])
+    return order if len(set(order)) == g.n else None
+
+
 def ref_line_solver_witness(g, hole):
-    order = path_order(g)
+    order = ref_path_order(g)
     if order is not None:
         return ref_line_witness(g, "path", order, hole)
     order = cycle_order(g)
@@ -141,6 +161,7 @@ def assert_agree(new, ref, *args):
 
 
 def assert_graph_agrees(g):
+    assert path_order(g) == ref_path_order(g)
     for hole in range(g.n + 2):
         assert_agree(line_solver_witness, ref_line_solver_witness, g, hole)
 
@@ -164,6 +185,22 @@ def test_seeded_relabeled_lines():
         assert_graph_agrees(relabeled(rng, path_graph(n)))
         if n >= 3:
             assert_graph_agrees(relabeled(rng, cycle_graph(n)))
+
+
+def test_seeded_relabeled_path_orders():
+    # Sparse trees are sometimes paths; a path plus a disjoint cycle has
+    # n - 1 edges and two ends but is no path.
+    rng = random.Random(6565)
+    for n in range(1, 65):
+        for extra in (0, 1):
+            g = relabeled(rng, random_connected_graph(rng, n, extra=extra))
+            assert path_order(g) == ref_path_order(g)
+    for n in range(6, 65):
+        k = rng.randint(3, n - 3)
+        line = [(i, i + 1) for i in range(1, n - k)]
+        ring = [(i, i + 1) for i in range(n - k + 1, n)] + [(n, n - k + 1)]
+        g = relabeled(rng, Graph(n, line + ring))
+        assert path_order(g) is None and ref_path_order(g) is None
 
 
 if __name__ == "__main__":

@@ -113,6 +113,12 @@ class TestConfiguration:
         with pytest.raises(CapacityExceeded):
             Configuration(65, 0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_vertex_range_is_invalid(self, n):
+        # like Graph: an empty vertex range is bad data, not a capacity limit
+        with pytest.raises(ValidationError, match=f"vertex count must be >= 1, got n={n}"):
+            Configuration(n, 0)
+
     def test_peg_count(self):
         assert Configuration.from_vertices(6, [1, 4, 6]).peg_count() == 3
         assert Configuration(6, 0).peg_count() == 0

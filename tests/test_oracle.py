@@ -20,6 +20,7 @@ from revpeg.oracle import (
     equivalence_partition,
     min_unjumps,
     reachable_set,
+    shortest_route,
     solve_from,
     witness_to,
 )
@@ -336,6 +337,12 @@ class TestWitnessTo:
                         assert replay(g, seq).peg_vertices() == (peg,)
                     else:
                         assert seq is None
+
+    @pytest.mark.parametrize("src, dst", [(-1, 1), (1, 99), (16, 1), (1, 16)])
+    def test_route_masks_outside_the_state_space_refused(self, src, dst):
+        bad = src if not 0 <= src < 16 else dst
+        with pytest.raises(PreconditionFailed, match=f"peg mask {bad} is not a state on 4 vertices"):
+            shortest_route(path_graph(4), src, dst)
 
     def test_c6_specific_target(self):
         g = cycle_graph(6)
