@@ -48,7 +48,7 @@ from .invariants import (
     closed_form,
     star_certificate,
 )
-from .model import Graph, MoveSequence, replay, trace
+from .model import CAPACITY, Graph, MoveSequence, replay, trace
 from .oracle import (
     Verdict,
     check_budget,
@@ -265,6 +265,13 @@ def cmd_verify(args, report: dict) -> int:
 
 def cmd_table(args, report: dict) -> int:
     lo = 2 if args.family == "path" else 3
+    # `top` is the largest row the oracle would classify. Past n = 20 (about
+    # a second) refuse up front: each row costs about 2.5x the one before.
+    top = max((n for n in range(lo, min(args.max_n, CAPACITY) + 1)
+               if estimate_state_bytes(n) <= args.memory_budget), default=0)
+    if top > 20:
+        raise CapacityExceeded(f"table would run the exact oracle on {args.family}:{top}; "
+                               "use --max-n <= 20 or a --memory-budget under 48MiB")
     rows = []
     mismatches = 0
     for n in range(lo, args.max_n + 1):
@@ -274,18 +281,15 @@ def cmd_table(args, report: dict) -> int:
             "verdict": v.level.value,
             "starts": sorted(v.admissible_starts),
             "ends": {str(h): sorted(v.end_pegs[h]) for h in sorted(v.end_pegs)},
+            "oracle_verdict": None,  # stays None on rows above `top`
+            "match": None,
         }
-        try:
+        if n <= top:
             g = path_graph(n) if args.family == "path" else cycle_graph(n)
             cls = classify(g, args.memory_budget)
-        except CapacityExceeded:
-            row["oracle_verdict"] = None
-            row["match"] = None
-        else:
             row["oracle_verdict"] = cls.verdict.value
             row["match"] = not census_mod.closed_form_mismatches(cls, list(g.vertices()), v)
-            if not row["match"]:
-                mismatches += 1
+            mismatches += not row["match"]
         rows.append(row)
     report["results"] = {"family": args.family, "rows": rows}
     return EXIT_MISMATCH if mismatches else EXIT_OK

@@ -21,6 +21,11 @@ rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs pattern
 is that rule for both of its moves), and builds ``Configuration`` objects
 only at phase boundaries; the public step functions wrap the same kernels.
 
+On a doubly free graph ``solve_constructive_to`` routes the last peg by a
+BFS over ``_lone_peg_hops``, which keeps only the first hop from each vertex
+to each other: the BFS takes the first discoverer as parent, so a later hop
+never enters a witness.
+
 Paths and cycles have no degree-3 vertex and share one line kernel on the
 vertex order (``path_order``/``cycle_order``, or 1..n for ``solve_path``
 and ``solve_cycle``): a path in the other admissible residue class is read
@@ -486,38 +491,37 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
 
 
 @lru_cache(maxsize=256)
-def _lone_peg_hops(g: Graph) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-    """Transitions available to a lone peg: 4-path hops, and teleports among
-    the four class-A singleton positions of any embedded H. ``hops[u]`` lists
-    the (vertex, label) pairs out of u; built once per graph, like ``_frame``."""
-    hops: list[list[tuple[int, tuple]]] = [[] for _ in range(g.n + 1)]
+def _lone_peg_hops(g: Graph) -> tuple[dict[int, tuple], ...]:
+    """Where a lone peg goes in one hop: ``hops[u]`` maps each w to the first
+    hop u -> w in scan order, 4-paths (u, p1, p2, w) first, then teleports
+    among the class-A singleton positions a, b, d, e of each embedded H.
+    A dict keeps first-insertion order, so ``bfs`` over it finds what it
+    would over every hop. Built once per graph, like ``_frame``."""
+    hops: list[dict[int, tuple]] = [{} for _ in range(g.n + 1)]
     for u in g.vertices():
+        row = hops[u]
         for p1 in g.adj[u]:
             for p2 in g.adj[p1]:
                 if p2 == u:
                     continue
                 for w in g.adj[p2]:
-                    if w not in (u, p1):
-                        hops[u].append((w, ("p4", (u, p1, p2, w))))
+                    if w not in row and w not in (u, p1):
+                        row[w] = ("p4", (u, p1, p2, w))
     for c0 in g.vertices():
-        if g.degree(c0) < 3:
-            continue
         for d0 in g.adj[c0]:
             for e0 in g.adj[d0]:
                 if e0 == c0:
                     continue
                 rest = [x for x in g.adj[c0] if x not in (d0, e0)]
-                if len(rest) < 2:
-                    continue
-                embs = [HEmbedding(rest[0], rest[1], c0, d0, e0)]
-                embs += [HEmbedding(rest[0], x, c0, d0, e0) for x in rest[2:]]
-                for emb in embs:
-                    singles = (emb.a, emb.b, emb.d, emb.e)
+                for x in rest[1:]:
+                    emb = HEmbedding(rest[0], x, c0, d0, e0)
+                    singles = (rest[0], x, d0, e0)
                     for u in singles:
+                        row = hops[u]
                         for w in singles:
-                            if u != w:
-                                hops[u].append((w, ("h", emb, w)))
-    return tuple(map(tuple, hops))
+                            if w not in row and w != u:
+                                row[w] = ("h", emb, w)
+    return tuple(hops)
 
 
 def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
@@ -544,7 +548,7 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
     if peg == target:
         return seq
     hops = _lone_peg_hops(g)
-    dist, parent, _ = bfs([[w for w, _ in row] for row in hops], (peg,))
+    dist, parent, _ = bfs(hops, (peg,))
     if dist[target] < 0:
         raise InvariantViolation(
             "lone-peg routing failed although the doubly-free predicate holds"
@@ -552,9 +556,8 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
     chain = []
     v = target
     while v != peg:
-        u = parent[v]
-        chain.append(next(label for w, label in hops[u] if w == v))
-        v = u
+        chain.append(hops[parent[v]][v])
+        v = parent[v]
     chain.reverse()
     moves = list(seq.moves)
     pegs = 1 << (peg - 1)

@@ -3,7 +3,8 @@
 Families follow fixed labelings: paths and cycles are numbered along the
 line, stars put the center on vertex 1, double stars put the two centers on
 1 and 2, and the claw-with-subdivided-edge graph H uses 1..5 for a..e with
-edges 1-3, 2-3, 3-4, 4-5.
+edges 1-3, 2-3, 3-4, 4-5. The constructors pass their edges as generators,
+so ``Graph`` refuses an n above its cap before any edge exists.
 """
 
 from __future__ import annotations
@@ -15,20 +16,20 @@ from .model import Graph, bfs, is_connected
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValidationError(f"path needs n >= 1, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(1, n)])
+    return Graph(n, ((i, i + 1) for i in range(1, n)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValidationError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+    return Graph(n, ((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def star_graph(n: int) -> Graph:
     """K_{1,n-1}: center 1 joined to 2..n."""
     if n < 2:
         raise ValidationError(f"star needs n >= 2, got {n}")
-    return Graph(n, [(1, v) for v in range(2, n + 1)])
+    return Graph(n, ((1, v) for v in range(2, n + 1)))
 
 
 def double_star(left: int, right: int) -> Graph:
@@ -36,10 +37,7 @@ def double_star(left: int, right: int) -> Graph:
     if left < 0 or right < 0:
         raise ValidationError("pendant counts must be non-negative")
     n = 2 + left + right
-    edges = [(1, 2)]
-    edges += [(1, 2 + i) for i in range(1, left + 1)]
-    edges += [(2, 2 + left + i) for i in range(1, right + 1)]
-    return Graph(n, edges)
+    return Graph(n, ((1 if v <= 2 + left else 2, v) for v in range(2, n + 1)))
 
 
 def h_graph() -> Graph:

@@ -91,9 +91,6 @@ class Classification:
     verdict: Verdict
     matrix: dict[int, frozenset[int]]
 
-    def is_solvable(self) -> bool:
-        return self.verdict is not Verdict.NOT_SOLVABLE
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -288,12 +285,9 @@ def equivalence_partition(
     so the sweep stays linear in 2^n even when most states are frozen.
     """
     check_budget(g.n, memory_budget)
-    masks = _bit_masks(g.n)
-    movable = 0
-    for _, _, pairs in _centres(g):
-        for x, z, _ in pairs:
-            movable |= masks[x] ^ masks[z]
-    # character s is "1" when state s has a legal move
+    # Every move is invertible, so the states one move from some state are
+    # those with a legal move; character s is "1" when state s has one.
+    movable = reduce(or_, _image((1 << (1 << g.n)) - 1, g))
     movable = format(movable, "b")[::-1].ljust(1 << g.n, "0")
     placed = bytearray(1 << g.n)
     blocks = []

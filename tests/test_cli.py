@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -76,6 +77,15 @@ class TestClassify:
         code, rep = run_cli(capsys, "classify", str(spec))
         assert code == 0
         assert rep["results"]["oracle"]["verdict"] == "FreelySolvable"
+
+    @pytest.mark.parametrize("spec", [
+        "path:3000000", "cycle:3000000", "star:3000000", "doublestar:1500000,1500000",
+    ])
+    def test_huge_family_refused_before_its_edges(self, capsys, spec):
+        t0 = time.monotonic()
+        assert main(["classify", spec]) == 3
+        assert time.monotonic() - t0 < 1
+        assert "capped at 64 vertices" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["classify", "no-such-file.txt"]) == 1
@@ -283,6 +293,30 @@ class TestTable:
         assert [r["n"] for r in rows] == list(range(2, 67))
         assert rows[-1]["oracle_verdict"] is None and rows[-1]["match"] is None
         assert rows[-1]["verdict"] == "Solvable"
+
+    @pytest.mark.parametrize("argv, top", [
+        (["table", "--family", "path", "--max-n", "100"], "path:26"),
+        (["--memory-budget", "48M", "table", "--family", "cycle", "--max-n", "21"], "cycle:21"),
+    ], ids=["default-budget", "budget-admits-21"])
+    def test_table_refuses_up_front(self, capsys, argv, top):
+        # every oracle row costs about 2.5x the one before, so a table that
+        # would classify past n = 20 is refused before its first row
+        t0 = time.monotonic()
+        assert main(argv) == 3
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"exact oracle on {top}" in captured.err
+        assert "--max-n <= 20" in captured.err and "under 48MiB" in captured.err
+
+    def test_table_below_the_refusal(self, capsys):
+        code, rep = run_cli(
+            capsys, "--memory-budget", "47M", "table", "--family", "cycle", "--max-n", "22"
+        )
+        assert code == 0
+        rows = {r["n"]: r for r in rep["results"]["rows"]}
+        assert rows[20]["match"] is True and rows[10]["oracle_verdict"] == "DoublyFreelySolvable"
+        assert rows[21]["oracle_verdict"] is None and rows[22]["match"] is None
 
 
 class TestMismatchContracts:

@@ -427,6 +427,20 @@ class TestSolveConstructiveTo:
         info = _lone_peg_hops.cache_info()
         assert info.misses == 1 and info.hits > 0
 
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_routing_table_keeps_one_hop_per_target(self, n):
+        hops = _lone_peg_hops(complete_graph(n))
+        for u in range(1, n + 1):
+            assert len(hops[u]) <= n - 1
+            assert u not in hops[u]
+
+    def test_complete_graph_every_pair(self):
+        g = complete_graph(8)
+        for hole in g.vertices():
+            for target in g.vertices():
+                seq = solve_constructive_to(g, hole, target)
+                assert replay(g, seq).peg_vertices() == (target,)
+
     def test_exhaustive_small_every_hole_target_pair(self):
         from revpeg.census import labeled_connected_graphs
         from revpeg.families import cycle_order, path_order

@@ -7,10 +7,13 @@ and a spanning tree per solve, built by its own queue loop. They keep the
 earlier code apart from names, so ``solve_constructive`` and
 ``solve_constructive_to`` in ``revpeg.construct`` must reproduce their move
 lists exactly, and raise the same exception types where they refuse;
-``find_spanning_tree`` must return the same working tree.
+``find_spanning_tree`` must return the same working tree. The reference
+routes the lone peg over its own hop table, which lists every 4-path hop
+and every H teleport, repeats included.
 
 ``PYTHONPATH=src python tests/test_construct_differential.py N`` runs the
-check from every hole of every labeled connected graph on N vertices.
+check from every hole of every labeled connected graph on N vertices, and
+for every (hole, target) pair of the doubly freely solvable ones.
 """
 
 import random
@@ -22,8 +25,8 @@ import pytest
 from conftest import random_connected_graph, relabeled
 from revpeg.census import labeled_connected_graphs
 from revpeg.construct import (
-    _lone_peg_hops,
     _solve_paw_four,
+    HEmbedding,
     WorkingTree,
     find_h_embedding,
     find_spanning_tree,
@@ -272,6 +275,37 @@ def ref_solve_constructive(g, hole):
     return MoveSequence(start, tuple(moves))
 
 
+def ref_lone_peg_hops(g):
+    hops = [[] for _ in range(g.n + 1)]
+    for u in g.vertices():
+        for p1 in g.adj[u]:
+            for p2 in g.adj[p1]:
+                if p2 == u:
+                    continue
+                for w in g.adj[p2]:
+                    if w not in (u, p1):
+                        hops[u].append((w, ("p4", (u, p1, p2, w))))
+    for c0 in g.vertices():
+        if g.degree(c0) < 3:
+            continue
+        for d0 in g.adj[c0]:
+            for e0 in g.adj[d0]:
+                if e0 == c0:
+                    continue
+                rest = [x for x in g.adj[c0] if x not in (d0, e0)]
+                if len(rest) < 2:
+                    continue
+                embs = [HEmbedding(rest[0], rest[1], c0, d0, e0)]
+                embs += [HEmbedding(rest[0], x, c0, d0, e0) for x in rest[2:]]
+                for emb in embs:
+                    singles = (emb.a, emb.b, emb.d, emb.e)
+                    for u in singles:
+                        for w in singles:
+                            if u != w:
+                                hops[u].append((w, ("h", emb, w)))
+    return hops
+
+
 def ref_solve_constructive_to(g, hole, target):
     if not 1 <= target <= g.n:
         raise PreconditionFailed(f"target {target} outside 1..{g.n}")
@@ -284,7 +318,7 @@ def ref_solve_constructive_to(g, hole, target):
     peg = cur.peg_vertices()[0]
     if peg == target:
         return seq
-    hops = _lone_peg_hops(g)
+    hops = ref_lone_peg_hops(g)
     parent = {peg: None}
     queue = deque((peg,))
     while queue and target not in parent:
@@ -369,6 +403,18 @@ def seeded_targets(rng, n, count):
     return [(rng.randint(1, n), rng.randint(1, n)) for _ in range(count)]
 
 
+def complete_graph(n):
+    return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+
+
+def dense_graph(rng, n, p):
+    """A seeded G(n, p) draw, redrawn until connected."""
+    while True:
+        g = Graph(n, [e for e in complete_graph(n).sorted_edges() if rng.random() < p])
+        if is_connected(g):
+            return g
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_all_labeled_graphs(n):
     for g in labeled_connected_graphs(n):
@@ -389,6 +435,22 @@ def test_seeded_doubly_free(n):
     assert_solvers_agree(g, targets=seeded_targets(rng, n, 6))
 
 
+@pytest.mark.parametrize("n", range(5, 10))
+def test_complete_graphs(n):
+    # Dense graphs give each vertex many hops to the same target, so the
+    # routed witness depends on which hop the table keeps.
+    rng = random.Random(9000 + n)
+    assert_solvers_agree(complete_graph(n), targets=seeded_targets(rng, n, 8))
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_seeded_dense_graphs(n):
+    rng = random.Random(8000 + n)
+    for p in (0.6, 0.8):
+        g = dense_graph(rng, n, p)
+        assert_solvers_agree(g, targets=seeded_targets(rng, n, 6))
+
+
 def test_seeded_graphs_with_long_tails():
     # Sparse random trees reach far from H, so the hole shift and the
     # absorption march in threes before the entry macro.
@@ -407,8 +469,14 @@ def test_seeded_relabeled_spanning_trees():
 
 if __name__ == "__main__":
     n = int(sys.argv[1])
-    count = 0
+    count = free = 0
     for graph in labeled_connected_graphs(n):
-        assert_solvers_agree(graph)
+        pairs = ()
+        solver_shape = graph.max_degree() >= 3 and not is_star_shape(graph)
+        if solver_shape and doubly_free_predicate(graph):
+            pairs = [(h, t) for h in graph.vertices() for t in graph.vertices()]
+            free += 1
+        assert_solvers_agree(graph, targets=pairs)
         count += 1
-    print(f"n={n}: solvers agree from every hole of all {count} labeled connected graphs")
+    print(f"n={n}: solvers agree from every hole of all {count} labeled connected "
+          f"graphs, and on every (hole, target) pair of the {free} doubly free ones")

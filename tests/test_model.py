@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from revpeg.errors import (
     IllegalMoveAt,
     ValidationError,
 )
-from revpeg.families import h_graph, path_graph, star_graph
+from revpeg.families import cycle_graph, double_star, h_graph, path_graph, star_graph
 from revpeg.model import (
     JUMP,
     UNJUMP,
@@ -51,6 +52,22 @@ class TestGraph:
     def test_rejects_oversize(self):
         with pytest.raises(CapacityExceeded):
             Graph(65, [])
+
+    @pytest.mark.parametrize("build", [
+        lambda: path_graph(10**6),
+        lambda: cycle_graph(10**6),
+        lambda: star_graph(10**6),
+        lambda: double_star(500_000, 500_000),
+    ], ids=["path", "cycle", "star", "doublestar"])
+    def test_families_refuse_oversize_before_building_edges(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_adjacency_symmetric_and_sorted(self):
         g = Graph(4, [(2, 1), (1, 3), (3, 2)])
