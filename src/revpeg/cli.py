@@ -163,14 +163,15 @@ def cmd_classify(args, report: dict) -> int:
 def _witness_payload(g: Graph, seq: MoveSequence, want_trace: bool) -> dict:
     """Replay-checked summary of a witness; raises IllegalMoveAt if it does
     not replay."""
-    final = replay(g, seq)  # every reported witness must replay
+    steps = trace(g, seq) if want_trace else None
+    final = steps[-1] if steps else replay(g, seq)  # every witness must replay
     payload = {
         "final_pegs": sorted(final.peg_vertices()),
         "moves": len(seq.moves),
         "unjumps": seq.unjump_count(),
     }
     if want_trace:
-        payload["trace"] = [sorted(c.peg_vertices()) for c in trace(g, seq)]
+        payload["trace"] = [sorted(c.peg_vertices()) for c in steps]
     return payload
 
 

@@ -9,17 +9,19 @@ vertex the peg approaches and at what distance, then carries the peg in
 with a single 4-path macro. When no outside pegs remain, a last within-H
 walk parks the final peg on the class representative.
 
-The working tree, the embedding, the BFS from H and the absorption order
-depend only on the graph and are built once per graph (``_frame``, cached
-like ``model.path_triples``). The order, the non-H vertices by (distance to
-H, vertex), is fixed in advance: after the hole shift every vertex outside
-H holds a peg, and each absorption removes exactly the chosen peg from
-outside H (checked), so the closest remaining outside peg is always the
-next vertex of the order. A solve thus runs no search of its own and costs
-O(n + moves). It runs on the int peg mask, checks each move with model's
-rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs pattern
-is that rule for both of its moves), and builds ``Configuration`` objects
-only at phase boundaries; the public step functions wrap the same kernels.
+The working tree, the embedding, the BFS from H, the absorption order and
+each vertex's absorption plan (the 4-paths and staging that carry its peg
+in) depend only on the graph and are built once per graph (``_frame``,
+cached like ``model.path_triples``). The order, the non-H vertices by
+(distance to H, vertex), is fixed in advance: after the hole shift every
+vertex outside H holds a peg, and each absorption removes exactly the chosen
+peg from outside H (checked), so the closest remaining outside peg is
+always the next vertex of the order. A solve thus runs no search of its own
+and costs O(n + moves). It runs on the int peg mask, checks each move with
+model's rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs
+pattern is that rule for both of its moves), and builds ``Configuration``
+objects only at phase boundaries; the public step functions wrap the same
+kernels.
 
 On a doubly free graph ``solve_constructive_to`` routes the last peg by a
 BFS over ``_lone_peg_hops``, which keeps only the first hop from each vertex
@@ -270,23 +272,28 @@ def _path_toward_h(toward, v: int, steps: int) -> list[int]:
 @dataclass(frozen=True)
 class _Frame:
     """What a constructive solve needs that depends only on the working tree
-    and the H embedding: the BFS from H (`dist`, `toward`, `attach`), the
-    mask of the H vertices, and the absorption order, the non-H vertices
-    sorted by (dist, vertex)."""
+    and the H embedding: the BFS from H (`dist`, `toward`), the mask of the
+    H vertices, the absorption order (the non-H vertices by (dist, vertex))
+    and each non-H vertex v's absorption plan ``plans[v]``, the tuple
+    (between, march, stage A, entry A, stage B, entry B): the mask of the
+    vertices strictly between v and H; the 4-path that marches a peg on v 3
+    steps inward, to a vertex whose plan holds the next one, or None within
+    distance 3; and per H class the staging mask and the entry 4-path."""
 
     emb: HEmbedding
     dist: tuple[int, ...]
     toward: tuple[int, ...]
-    attach: tuple[int, ...]
     h_mask: int
     order: tuple[int, ...]
+    plans: tuple
 
 
 def _build_frame(t: WorkingTree, emb: HEmbedding) -> _Frame:
     """Multi-source BFS from H in letter order a..e over the tree, so that
-    `toward[v]` is the next vertex on the unique tree path from v to H,
-    `attach[v]` the H vertex it reaches (equidistant vertices are claimed by
-    the earlier letter); then the absorption order by (`dist`, vertex)."""
+    `toward[v]` is the next vertex on the unique tree path from v to H
+    (equidistant vertices are claimed by the earlier letter); then the
+    absorption order by (`dist`, vertex), and the plans in BFS order, where
+    a vertex beyond distance 3 extends the plan of the vertex 3 steps on."""
     tree = t.tree
     a, b, c, d, e = vs = emb.vertices
     if len(set(vs)) != 5 or not all(
@@ -297,12 +304,23 @@ def _build_frame(t: WorkingTree, emb: HEmbedding) -> _Frame:
     if len(reached) < tree.n:
         v = dist.index(-1, 1)
         raise PreconditionFailed(f"vertex {v} is not connected to H in the working tree")
-    attach = list(range(tree.n + 1))
+    plans: list = [None] * (tree.n + 1)
     for v in reached[5:]:
-        attach[v] = attach[toward[v]]
+        k = dist[v]
+        path = tuple(_path_toward_h(toward, v, min(k, 3)))
+        between = sum(1 << (u - 1) for u in path[1:k])
+        if k > 3:
+            after = plans[path[3]]
+            plans[v] = (between | after[0], path) + after[2:]
+            continue
+        plan = [between, None]
+        for cls in (HClass.A, HClass.B):
+            stage, entry = _ABSORB[(emb.letter(path[k]), cls)][k]
+            plan += (letter_mask(stage), path[:k] + tuple(map(emb.vertex, entry)))
+        plans[v] = tuple(plan)
     order = tuple(sorted(reached[5:], key=lambda v: (dist[v], v)))
     h_mask = sum(1 << (v - 1) for v in vs)
-    return _Frame(emb, tuple(dist), tuple(toward), tuple(attach), h_mask, order)
+    return _Frame(emb, tuple(dist), tuple(toward), h_mask, order, tuple(plans))
 
 
 @lru_cache(maxsize=256)
@@ -351,44 +369,38 @@ def _shift_hole(f: _Frame, pegs: int, hole: int, moves: list[Move]) -> int:
         return pegs
     emb, toward = f.emb, f.toward
     k = f.dist[hole]
-    w = f.attach[hole]
     while k >= 3:
         path = _path_toward_h(toward, hole, 3)
         pegs = _p4(pegs, path, moves)  # hole case: hole travels 3 inward
         hole = path[3]
         k -= 3
     if k:
-        prefix = _path_toward_h(toward, hole, k - 1)
-        suffix = [emb.vertex(ch) for ch in _HOLE_ENTRY[(emb.letter(w), k)]]
-        pegs = _p4(pegs, prefix + suffix, moves)
+        path = _path_toward_h(toward, hole, k)
+        entry = _HOLE_ENTRY[(emb.letter(path[k]), k)]
+        pegs = _p4(pegs, path[:k] + [emb.vertex(ch) for ch in entry], moves)
     if not f.h_mask & ~pegs:
         raise InvariantViolation("hole failed to land on H")
     return pegs
 
 
 def _absorb(f: _Frame, pegs: int, peg: int, moves: list[Move]) -> int:
-    """Carry the outside peg on ``peg`` into H, keeping the H restriction in
-    class A or B; append the moves and return the new mask."""
-    emb, toward = f.emb, f.toward
-    vs = emb.vertices
+    """Carry the outside peg on ``peg`` into H by its plan, keeping the H
+    restriction in class A or B; append the moves and return the new mask."""
+    vs = f.emb.vertices
     before_class = h_class_of(_h_bits(vs, pegs))
     if before_class not in (HClass.A, HClass.B):
         raise PreconditionFailed(f"H restriction is {before_class.value}, need A or B")
     outside = (pegs & ~f.h_mask).bit_count()
-    k = f.dist[peg]
-    if any(pegs >> (u - 1) & 1 for u in _path_toward_h(toward, peg, k - 1)[1:]):
+    plan = f.plans[peg]
+    if pegs & plan[0]:
         raise PreconditionFailed("a closer peg sits between the chosen peg and H")
-    while k > 3:
-        path = _path_toward_h(toward, peg, 3)
-        pegs = _p4(pegs, path, moves)  # peg case: peg travels 3 inward
-        peg = path[3]
-        k -= 3
+    march = plan[1]
+    while march:
+        pegs = _p4(pegs, march, moves)  # peg case: peg travels 3 inward
+        march = f.plans[march[3]][1]
     # The march stays outside H, so the class is still before_class.
-    stage_letters, entry_letters = _ABSORB[(emb.letter(f.attach[peg]), before_class)][k]
-    pegs = _within_h(vs, pegs, letter_mask(stage_letters), moves)
-    prefix = _path_toward_h(toward, peg, k - 1)
-    suffix = [emb.vertex(ch) for ch in entry_letters]
-    pegs = _p4(pegs, prefix + suffix, moves)
+    i = 2 if before_class is HClass.A else 4
+    pegs = _p4(_within_h(vs, pegs, plan[i], moves), plan[i + 1], moves)
     after_class = h_class_of(_h_bits(vs, pegs))
     if after_class not in (HClass.A, HClass.B):
         raise InvariantViolation(
@@ -496,31 +508,40 @@ def _lone_peg_hops(g: Graph) -> tuple[dict[int, tuple], ...]:
     hop u -> w in scan order, 4-paths (u, p1, p2, w) first, then teleports
     among the class-A singleton positions a, b, d, e of each embedded H.
     A dict keeps first-insertion order, so ``bfs`` over it finds what it
-    would over every hop. Built once per graph, like ``_frame``."""
+    would over every hop. A row that holds all n - 1 targets takes no later
+    hop, so the scan skips it and stops once every row is full. Built once
+    per graph, like ``_frame``."""
     hops: list[dict[int, tuple]] = [{} for _ in range(g.n + 1)]
     for u in g.vertices():
         row = hops[u]
         for p1 in g.adj[u]:
+            if len(row) == g.n - 1:
+                break
             for p2 in g.adj[p1]:
                 if p2 == u:
                     continue
                 for w in g.adj[p2]:
                     if w not in row and w not in (u, p1):
                         row[w] = ("p4", (u, p1, p2, w))
+    unfilled = sum(len(row) < g.n - 1 for row in hops[1:])
     for c0 in g.vertices():
         for d0 in g.adj[c0]:
             for e0 in g.adj[d0]:
+                if not unfilled:
+                    return tuple(hops)
                 if e0 == c0:
                     continue
                 rest = [x for x in g.adj[c0] if x not in (d0, e0)]
                 for x in rest[1:]:
-                    emb = HEmbedding(rest[0], x, c0, d0, e0)
+                    emb = None
                     singles = (rest[0], x, d0, e0)
                     for u in singles:
                         row = hops[u]
                         for w in singles:
                             if w not in row and w != u:
+                                emb = emb or HEmbedding(rest[0], x, c0, d0, e0)
                                 row[w] = ("h", emb, w)
+                                unfilled -= len(row) == g.n - 1
     return tuple(hops)
 
 

@@ -10,7 +10,8 @@ bx, by, bz and ``mask = bx | by | bz``, a move is legal exactly when
 ``pegs & mask == bx | by`` (a jump) or ``pegs & mask == bz`` (an unjump),
 and either move flips ``mask``. ``path_triples`` tabulates the triples;
 ``legal_moves``, ``replay``, the oracle's searches and the constructive
-solvers all apply this rule.
+solvers all apply this rule. ``replay`` applies it to the int peg mask move
+by move and builds one ``Configuration``, the final one.
 
 ``bfs`` is the one search over vertices; every vertex-level search in the
 package calls it. It scans the sources in the order given and each
@@ -321,34 +322,39 @@ class MoveSequence:
         return sum(1 for m in self.moves if m.kind is UNJUMP)
 
 
-def _replay_steps(g: Graph, seq: MoveSequence) -> Iterator[Configuration]:
-    """Validate and apply each move in turn, yielding the configuration
-    after it; raises IllegalMoveAt(index) at the first step whose geometry
-    or peg/hole pattern fails."""
+def _replay_steps(g: Graph, seq: MoveSequence) -> Iterator[int]:
+    """Validate and apply each move on the int peg mask, yielding the mask
+    after it; raises IllegalMoveAt(index) where the geometry (two edges and
+    x != z, as edges have no self-loops) or the peg/hole pattern fails."""
     c = seq.start
     if c.n != g.n:
         raise IllegalMoveAt(0, f"start configuration is on {c.n} vertices, graph on {g.n}")
+    edges, pegs = g.edges, c.pegs
     for i, m in enumerate(seq.moves):
-        if not _geometry_ok(g, m):
+        x, y, z = m.x, m.y, m.z
+        xy, yz = (x, y) if x < y else (y, x), (y, z) if y < z else (z, y)
+        if x == z or xy not in edges or yz not in edges:
             raise IllegalMoveAt(i, f"{m}: x-y-z is not a 3-path in the graph")
-        if not _pattern_ok(c.pegs, m):
+        bx, by, bz = 1 << (x - 1), 1 << (y - 1), 1 << (z - 1)
+        mask = bx | by | bz
+        if pegs & mask != (bx | by if m.kind is JUMP else bz):
             raise IllegalMoveAt(i, f"{m}: peg/hole pattern does not match")
-        c = Configuration(c.n, c.pegs ^ m.mask())
-        yield c
+        pegs ^= mask
+        yield pegs
 
 
 def replay(g: Graph, seq: MoveSequence) -> Configuration:
     """Re-apply every move with full validation; the trusted verifier.
 
     Raises IllegalMoveAt(index) at the first step whose geometry or
-    peg/hole pattern fails.
+    peg/hole pattern fails. Builds one ``Configuration``, the final one.
     """
-    c = seq.start
-    for c in _replay_steps(g, seq):
+    pegs = seq.start.pegs
+    for pegs in _replay_steps(g, seq):
         pass
-    return c
+    return Configuration(seq.start.n, pegs)
 
 
 def trace(g: Graph, seq: MoveSequence) -> list[Configuration]:
     """Configurations after every move of a valid sequence (start excluded)."""
-    return list(_replay_steps(g, seq))
+    return [Configuration(g.n, pegs) for pegs in _replay_steps(g, seq)]

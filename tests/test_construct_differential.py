@@ -24,7 +24,9 @@ import pytest
 
 from conftest import random_connected_graph, relabeled
 from revpeg.census import labeled_connected_graphs
+import revpeg.construct as construct
 from revpeg.construct import (
+    _lone_peg_hops,
     _solve_paw_four,
     HEmbedding,
     WorkingTree,
@@ -458,6 +460,41 @@ def test_seeded_graphs_with_long_tails():
     for n in (10, 13, 16, 20):
         g = random_connected_graph(rng, n, extra=1)
         assert_solvers_agree(g, targets=seeded_targets(rng, n, 4))
+
+
+def first_hops(g):
+    """The reference hop list reduced to the first hop from each u to each w,
+    in first-occurrence order."""
+    out = [{} for _ in range(g.n + 1)]
+    for u, row in enumerate(ref_lone_peg_hops(g)):
+        for w, label in row:
+            out[u].setdefault(w, label)
+    return out
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_complete_graph_hop_table_builds_no_embedding(n, monkeypatch):
+    # On K_n every row is full after the 4-path scan, so the teleport scan
+    # stops before it builds a single HEmbedding.
+    g = complete_graph(n)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return HEmbedding(*args)
+
+    monkeypatch.setattr(construct, "HEmbedding", counting)
+    hops = _lone_peg_hops.__wrapped__(g)
+    assert built == []
+    assert [list(row.items()) for row in hops] == [list(row.items()) for row in first_hops(g)]
+
+
+@pytest.mark.parametrize("n", range(7, 15))
+def test_hop_table_keeps_the_first_hops(n):
+    rng = random.Random(7700 + n)
+    for g in (doubly_free_graph(rng, n), dense_graph(rng, n, 0.4)):
+        hops = _lone_peg_hops.__wrapped__(g)
+        assert [list(row.items()) for row in hops] == [list(r.items()) for r in first_hops(g)]
 
 
 def test_seeded_relabeled_spanning_trees():

@@ -1,22 +1,32 @@
-"""The absorption preconditions that the fixed absorption order rests on.
+"""The absorption preconditions that the fixed absorption order rests on,
+and the per-vertex absorption plans of the frame.
 
 The solver absorbs the non-H vertices in a precomputed (distance to H,
 vertex) order. That order is the "closest outside peg first" order only
 while every absorption finds the chosen peg's path to H empty and the H
 restriction inside class A or B, so both checks must refuse when they fail.
+Each absorption plays its vertex's plan, which must hold what a walk along
+``toward`` derives: the vertices between the peg and H, the march 4-paths
+and, per H class, the staging mask and the entry 4-path.
 """
+
+import random
 
 import pytest
 
+from conftest import random_connected_graph, relabeled
 from revpeg.construct import (
+    _ABSORB,
     HEmbedding,
     WorkingTree,
     _absorb,
     _build_frame,
+    _frame,
+    _path_toward_h,
     absorb_nearest_peg,
 )
 from revpeg.errors import PreconditionFailed
-from revpeg.families import h_graph
+from revpeg.families import h_graph, is_star_shape
 from revpeg.hclasses import HClass, h_class_of, letter_mask
 from revpeg.model import Configuration, Graph, MoveSequence, replay
 
@@ -64,3 +74,58 @@ def test_h_restriction_outside_classes_a_and_b_is_refused(letters, cls):
     c = Configuration.from_vertices(g.n, h_pegs(letters) + [7])
     with pytest.raises(PreconditionFailed, match=cls.value):
         absorb_nearest_peg(WorkingTree(g, 3), EMB, c)
+
+
+def walked_plan(frame, v, cls):
+    """The plan of v for H class ``cls``, derived by walking ``toward``:
+    (between mask, march 4-paths, staging mask, entry 4-path)."""
+    emb, toward = frame.emb, frame.toward
+    k = frame.dist[v]
+    between = sum(1 << (u - 1) for u in _path_toward_h(toward, v, k - 1)[1:])
+    marches = []
+    while k > 3:
+        path = _path_toward_h(toward, v, 3)
+        marches.append(tuple(path))
+        v = path[3]
+        k -= 3
+    stage, entry = _ABSORB[(emb.letter(_path_toward_h(toward, v, k)[k]), cls)][k]
+    path = _path_toward_h(toward, v, k - 1) + [emb.vertex(ch) for ch in entry]
+    return between, tuple(marches), letter_mask(stage), tuple(path)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, 16, 24, 32, 48, 64])
+def test_plans_match_the_walk_toward_h(n):
+    rng = random.Random(4200 + n)
+    checked = 0
+    for extra in (0, 1, 3):
+        g = relabeled(rng, random_connected_graph(rng, n, extra=extra))
+        if g.max_degree() < 3 or is_star_shape(g):
+            continue
+        frame = _frame(g)
+        assert frame.plans[0] is None
+        assert all(frame.plans[v] is None for v in frame.emb.vertices)
+        for v in frame.order:
+            assert_plan_matches_the_walk(frame, v)
+            checked += 1
+    assert checked
+
+
+def assert_plan_matches_the_walk(frame, v):
+    """Follow v's march chain through the plans and compare it, the between
+    mask and the final staging and entry with ``walked_plan``."""
+    between, march, stage_a, entry_a, stage_b, entry_b = frame.plans[v]
+    marches = []
+    while march:
+        marches.append(march)
+        march = frame.plans[march[3]][1]
+    assert (between, tuple(marches), stage_a, entry_a) == walked_plan(frame, v, HClass.A)
+    assert (between, tuple(marches), stage_b, entry_b) == walked_plan(frame, v, HClass.B)
+
+
+def test_plans_on_a_long_tail():
+    # Vertices 6..15 sit at distances 1..10 from a: up to three marches.
+    frame = _build_frame(WorkingTree(tail_graph(10), 3), EMB)
+    marching = [v for v in range(6, 16) if frame.plans[v][1]]
+    assert marching == list(range(9, 16))
+    for v in frame.order:
+        assert_plan_matches_the_walk(frame, v)
