@@ -4,18 +4,19 @@ Subcommands: classify, solve, verify, table, census. All structured output
 is a single JSON report (sorted keys, so identical inputs give identical
 bytes); --format text renders the same report as prose. Exit codes: 0 ok,
 1 usage or parse error, 2 verdict mismatch / invariant violation / invalid
-witness, 3 capacity exceeded.
+witness, 3 capacity exceeded. The argument parser is built once per process
+and reused, so main() may be called repeatedly with byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import census as census_mod
 from .construct import (
@@ -63,6 +64,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_CAPACITY = 3
+
+#: Largest `table --max-n`: row n lists up to n^2 end pegs, so the report
+#: grows as max-n^3 (cycles: 5 MB at 128, 19 MB at 200).
+TABLE_MAX_N = 128
 
 
 class UsageError(Exception):
@@ -265,6 +270,9 @@ def cmd_verify(args, report: dict) -> int:
 
 
 def cmd_table(args, report: dict) -> int:
+    if args.max_n > TABLE_MAX_N:
+        raise CapacityExceeded(f"table rows list up to n^2 end pegs, so the report grows as "
+                               f"n^3; use --max-n <= {TABLE_MAX_N}, got {args.max_n}")
     lo = 2 if args.family == "path" else 3
     # `top` is the largest row the oracle would classify. Past n = 20 (about
     # a second) refuse up front: each row costs about 2.5x the one before.
@@ -323,6 +331,8 @@ def cmd_census(args, report: dict) -> int:
     # more than there are cores or tasks.
     workers = min(args.threads, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs ~20 ms to import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(census_mod.check_graph_edges, tasks, chunksize=256))
     else:
@@ -384,6 +394,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
                    help="include wall-clock timing in the report")
 
 
+@functools.cache  # parse_args keeps no state on the parser
 def build_parser() -> _Parser:
     p = _Parser(prog="revpeg", description=__doc__)
     _add_global_flags(p, suppress=False)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,17 @@ class TestTable:
         assert f"exact oracle on {top}" in captured.err
         assert "--max-n <= 20" in captured.err and "under 48MiB" in captured.err
 
+    def test_table_refuses_max_n_past_the_report_bound(self, capsys):
+        # row n lists up to n^2 end pegs, so the closed-form rows alone are
+        # refused past --max-n 128 whatever the memory budget
+        t0 = time.monotonic()
+        argv = ["--memory-budget", "1K", "table", "--family", "cycle", "--max-n", "1000000"]
+        assert main(argv) == 3
+        assert time.monotonic() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-n <= 128" in captured.err
+
     def test_table_below_the_refusal(self, capsys):
         code, rep = run_cli(
             capsys, "--memory-budget", "47M", "table", "--family", "cycle", "--max-n", "22"
@@ -498,6 +513,8 @@ class TestBadInputs:
 
 
 def test_census_workers_capped_by_cores_and_tasks(capsys, monkeypatch):
+    import concurrent.futures
+
     import revpeg.cli as cli_mod
 
     started = []
@@ -515,7 +532,8 @@ def test_census_workers_capped_by_cores_and_tasks(capsys, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", FakePool)
+    # cli imports the pool inside the multi-worker branch, so patch its home
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
     code, rep = run_cli(capsys, "--threads", "100000", "census", "--max-n", "3")
     assert code == 0 and rep["results"]["graphs_checked"] == 5
@@ -528,3 +546,13 @@ def test_census_workers_capped_by_cores_and_tasks(capsys, monkeypatch):
 def test_usage_error_exit_code():
     assert main(["solve", "path:4"]) == 1  # missing --hole
     assert main(["nonsense"]) == 1
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only census with more than one worker needs the pool
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, revpeg.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from revpeg.cli import main
+from revpeg.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
@@ -84,6 +84,22 @@ def test_corpus_covers_every_case(golden):
 def test_report_bytes_unchanged(argv, golden, monkeypatch):
     monkeypatch.chdir(DATA)
     assert run_case(argv) == golden[tuple(argv)]
+
+
+def test_reused_parser_carries_no_state(golden, monkeypatch):
+    # one process, one parser: every case forward, then usage errors and
+    # --help, then every case in reverse; each report stays byte-identical
+    monkeypatch.chdir(DATA)
+    for argv in CASES:
+        assert run_case(argv) == golden[tuple(argv)]
+    assert main(["solve", "path:4"]) == 1  # missing --hole
+    assert main(["nonsense"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    for argv in reversed(CASES):
+        assert run_case(argv) == golden[tuple(argv)]
+    assert build_parser() is build_parser()
 
 
 if __name__ == "__main__":
