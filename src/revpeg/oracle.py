@@ -1,9 +1,10 @@
 """Exhaustive ground-truth solver over the 2^n configuration space.
 
 States are raw peg bitmasks. A set of states is one Python int with bit s
-set for each state s in it, and every search is a breadth-first search
-over whole sets: the next frontier is the image of the last one, less the
-states already seen.
+set for each state s in it, and every search works on whole sets. Reachable
+sets come from sweeps over the centres to a fixpoint. Witnesses and
+``min_unjumps`` come from level searches, breadth-first over sets: the next
+frontier is the image of the last one, less the states already seen.
 
 The image rests on the "x != z" form of ``model``'s move rule. On a path
 x-y-z, the legal patterns of bits (x, y, z) are 110 and 001 (a jump and an
@@ -16,7 +17,8 @@ z = 1 by the opposite shift. Flipping bit y afterwards is one more pair of
 shifts, applied once per centre y to the union over its neighbour pairs:
 the states with a peg on y make a jump, the others an unjump. The pieces
 are cut with the per-bit masks M_b, the set of states whose bit b is set;
-one ``_image`` gives the jump and the unjump half of every set search.
+``_image`` gives the jump and the unjump half of every level search, and
+``_closure`` applies the same shifts to the reached set one centre at a time.
 
 Because every move is invertible, reachability is symmetric and reachable
 sets are exactly the equivalence classes of mutual reachability;
@@ -49,6 +51,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import or_
 
 from .errors import CapacityExceeded, DisconnectedGraph, PreconditionFailed
@@ -70,9 +73,9 @@ DEFAULT_MEMORY_BUDGET = 2 << 30
 # measured on an earlier per-state search (4-byte tag and distance tables,
 # member lists and queue slack) and reports show them as estimated_bytes,
 # so they stay fixed. They remain an upper bound on what the set searches
-# hold: the n cached per-bit masks, n per-bit slices of the set being
-# moved and a few working sets, about (2n + 8) * 2^n bits, plus one set per
-# BFS level, or for min_unjumps one set per jump layer of every level.
+# hold: the n cached per-bit masks and a few working sets; a level search
+# adds n per-bit slices of the level being moved and one set per level, or
+# for min_unjumps one set per jump layer of every level.
 _BYTES_PER_STATE_SCAN = 24
 _BYTES_PER_STATE_WITNESS = 48
 
@@ -206,30 +209,45 @@ def _has(states: int, s: int) -> bool:
 
 def _members(states: int) -> list[int]:
     """The states of a set, ascending."""
-    bits = format(states, "b")[::-1]  # character i is bit i
-    out = []
-    i = bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
-    return out
+    bits = format(states, "b")[::-1].encode()  # byte i is bit i, as b"0" or b"1"
+    return list(compress(range(len(bits)), bits.translate(bytes.maketrans(b"01", b"\0\1"))))
 
 
-def _levels(g: Graph, start: int, target: int | None = None) -> tuple[list[int], int]:
+def _closure(g: Graph, start: int) -> int:
+    """The states reachable from state `start`, by sweeps over the centres
+    until a whole sweep adds nothing. Each centre adds at once every state
+    one move around it from the set reached so far, by the shifts of
+    ``_image``. So every state added is reachable, and the fixpoint is
+    closed under moves: it is the whole reachable set."""
+    masks = _bit_masks(g.n)
+    seen, before = 1 << start, 0
+    while seen != before:
+        before = seen
+        for y, y_shift, pairs in _centres(g):
+            flipped = 0  # the movable states with bits x and z flipped
+            for x, z, shift in pairs:
+                movable = seen & (masks[x] ^ masks[z])
+                x_on = movable & masks[x]
+                flipped |= x_on << shift | (movable ^ x_on) >> shift
+            up = flipped & masks[y]  # a peg on y: the move is a jump
+            seen |= up >> y_shift | (flipped ^ up) << y_shift
+    return seen
+
+
+def _levels(g: Graph, start: int, target: int) -> list[int]:
     """Breadth-first search over state sets from state `start`: the levels
     L_0 = {start}, L_1, ... up to the first that holds `target` (all of them
-    when target is None or unreachable), and their union, the states
-    reached."""
+    when it is unreachable)."""
     levels = [1 << start]
     seen = levels[0]
-    while target is None or not _has(levels[-1], target):
+    while not _has(levels[-1], target):
         jumped, unjumped = _image(levels[-1], g)
         frontier = (jumped | unjumped) & ~seen
         if not frontier:
             break
         seen |= frontier
         levels.append(frontier)
-    return levels, seen
+    return levels
 
 
 def _route(g: Graph, start: int, target: int) -> MoveSequence | None:
@@ -238,7 +256,7 @@ def _route(g: Graph, start: int, target: int) -> MoveSequence | None:
     `target`, then a forward walk that takes, from the k-th state, the first
     legal triple into backward level D - k - 1, which is k + 1 moves from
     `start` (see the module docstring)."""
-    back, _ = _levels(g, target, start)
+    back = _levels(g, target, start)
     if not _has(back[-1], start):
         return None
     triples = path_triples(g)
@@ -273,7 +291,7 @@ def reachable_set(
     if c.n != g.n:
         raise PreconditionFailed("configuration and graph sizes differ")
     check_budget(g.n, memory_budget)
-    return frozenset(Configuration(g.n, m) for m in _members(_levels(g, c.pegs)[1]))
+    return frozenset(Configuration(g.n, m) for m in _members(_closure(g, c.pegs)))
 
 
 def equivalence_partition(
@@ -293,7 +311,7 @@ def equivalence_partition(
     blocks = []
     s = 0
     while s >= 0:
-        members = _members(_levels(g, s)[1]) if movable[s] == "1" else [s]
+        members = _members(_closure(g, s)) if movable[s] == "1" else [s]
         for m in members:
             placed[m] = 1
         blocks.append(frozenset(members))
@@ -319,7 +337,7 @@ def solve_from(
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     check_budget(g.n, memory_budget, witness=True)
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    _, seen = _levels(g, start)
+    seen = _closure(g, start)
     end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if _has(seen, mask))
     if not end_pegs:
         return None
@@ -358,7 +376,7 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
     for h in range(1, g.n + 1):
         if h in matrix:
             continue  # class containing this start was already swept
-        _, members = _levels(g, full ^ (1 << (h - 1)))
+        members = _closure(g, full ^ (1 << (h - 1)))
         pegs = frozenset(v for mask, v in singles if _has(members, mask))
         for mask, v in singles:
             if _has(members, full ^ mask):

@@ -2,10 +2,12 @@
 
 The reference functions below are the earlier, separately written searches:
 the parent-pointer BFS with its rebuild, the class-sweep BFS, the 0/1-cost
-deque search of min_unjumps, the per-state move generator and the
-hand-written within-H route search. They keep the earlier code apart from
-names, so the single kernel in ``revpeg.oracle`` must reproduce their end
-sets, witnesses, unjump counts, end pegs, partitions and routes exactly.
+deque search of min_unjumps, the per-state move generator, the
+hand-written within-H route search and the union of set-BFS levels that
+gave reachable sets before the closure sweeps. They keep the earlier code
+apart from names, so the kernels in ``revpeg.oracle`` must reproduce their
+end sets, witnesses, unjump counts, end pegs, partitions, classifications
+and routes exactly.
 
 The one exception is the min_unjumps witness: the deque's choice follows
 its LIFO order inside a level, which a search over state sets does not
@@ -26,7 +28,7 @@ import pytest
 from conftest import random_connected_graph
 from revpeg.census import labeled_connected_graphs
 from revpeg.errors import NotSameClass
-from revpeg.families import h_graph
+from revpeg.families import cycle_graph, h_graph, path_graph, star_graph
 from revpeg.hclasses import h_route
 from revpeg.model import (
     JUMP,
@@ -39,6 +41,11 @@ from revpeg.model import (
     replay,
 )
 from revpeg.oracle import (
+    Classification,
+    Verdict,
+    _closure,
+    _image,
+    classify,
     equivalence_partition,
     min_unjumps,
     reachable_set,
@@ -269,6 +276,40 @@ def ref_unjump_witness(g, hole):
     return MoveSequence(Configuration(g.n, start), tuple(chain))
 
 
+def ref_level_closure(g, start):
+    """The states reachable from `start`: the union of the set-BFS levels."""
+    levels = [1 << start]
+    seen = levels[0]
+    while True:
+        jumped, unjumped = _image(levels[-1], g)
+        frontier = (jumped | unjumped) & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        levels.append(frontier)
+    return seen
+
+
+def ref_classification(g, blocks):
+    """Each hole's row holds the single pegs of its start's block; the
+    verdict is read off the matrix."""
+    full = (1 << g.n) - 1
+    matrix = {}
+    for h in g.vertices():
+        block = next(b for b in blocks if full ^ (1 << (h - 1)) in b)
+        matrix[h] = frozenset(v for v in g.vertices() if 1 << (v - 1) in block)
+    rows = matrix.values()
+    if not any(rows):
+        verdict = Verdict.NOT_SOLVABLE
+    elif all(row == frozenset(g.vertices()) for row in rows):
+        verdict = Verdict.DOUBLY_FREELY_SOLVABLE
+    elif all(rows):
+        verdict = Verdict.FREELY_SOLVABLE
+    else:
+        verdict = Verdict.SOLVABLE
+    return Classification(verdict, matrix)
+
+
 def ref_h_route(src, dst):
     """Early-exit BFS over within-H moves; None when dst is unreachable."""
     if src == dst:
@@ -311,6 +352,7 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
     """
     blocks = ref_partition(g)
     assert equivalence_partition(g).blocks == blocks
+    assert classify(g) == ref_classification(g, blocks)
     for b in blocks:
         c = Configuration(g.n, min(b))
         assert reachable_set(g, c) == frozenset(Configuration(g.n, m) for m in b)
@@ -378,6 +420,17 @@ def test_h_routes_all_pairs():
     # two 14-state classes give 2 * 14 * 14 pairs; the four frozen states
     # only route to themselves
     assert routed == 2 * 14 * 14 + 4
+
+
+@pytest.mark.parametrize("family", [path_graph, cycle_graph, star_graph],
+                         ids=["path", "cycle", "star"])
+@pytest.mark.parametrize("n", range(15, 19))
+def test_closure_matches_level_union(family, n):
+    g = family(n)
+    full = (1 << n) - 1
+    for hole in g.vertices():
+        start = full ^ (1 << (hole - 1))
+        assert _closure(g, start) == ref_level_closure(g, start), hole
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

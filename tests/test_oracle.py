@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -103,6 +104,11 @@ class TestStateSets:
         for _ in range(50):
             states = sorted(rng.sample(range(1 << 9), rng.randint(0, 40)))
             assert _members(sum(1 << s for s in states)) == states
+        assert _members(0) == []
+        assert _members((1 << (1 << 12)) - 1) == list(range(1 << 12))
+        assert _members(1 << (1 << 16) - 1) == [(1 << 16) - 1]
+        dense = [s for s in range((1 << 14) - 1) if rng.random() < 0.99] + [(1 << 14) - 1]
+        assert _members(sum(1 << s for s in dense)) == dense
 
     def test_image_matches_ordered_triple_rule(self):
         rng = random.Random(12)
@@ -314,6 +320,25 @@ class TestClassify:
             if cls.verdict in (Verdict.FREELY_SOLVABLE, Verdict.DOUBLY_FREELY_SOLVABLE):
                 assert all(cls.matrix[h] for h in cls.matrix)
             full_seen.add(cls.verdict)
+
+    @pytest.mark.parametrize("g", [
+        path_graph(16),
+        cycle_graph(16),
+        star_graph(16),
+        random_connected_graph(random.Random(16), 16, extra=3),
+    ], ids=["path", "cycle", "star", "seeded"])
+    def test_memory_peak_at_n16(self, g):
+        # the per-bit masks and the centre table are cached; warm them so
+        # that the trace sees only what one classification holds
+        oracle._bit_masks(g.n)
+        oracle._centres(g)
+        tracemalloc.start()
+        try:
+            classify(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (1 << g.n) // 8, f"peak {peak / ((1 << g.n) // 8):.1f} sets"
 
     def test_rejects_single_vertex(self):
         with pytest.raises(PreconditionFailed):
