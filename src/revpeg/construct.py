@@ -288,6 +288,7 @@ class _Frame:
     plans: tuple
 
 
+@lru_cache(maxsize=256)
 def _build_frame(t: WorkingTree, emb: HEmbedding) -> _Frame:
     """Multi-source BFS from H in letter order a..e over the tree, so that
     `toward[v]` is the next vertex on the unique tree path from v to H

@@ -3,8 +3,8 @@
 States are raw peg bitmasks. A set of states is one Python int with bit s
 set for each state s in it, and every search works on whole sets. Reachable
 sets come from sweeps over the centres to a fixpoint. Witnesses and
-``min_unjumps`` come from level searches, breadth-first over sets: the next
-frontier is the image of the last one, less the states already seen.
+``min_unjumps`` come from one level search, breadth-first over sets: the
+next frontier is the image of the last one, less the states already seen.
 
 The image rests on the "x != z" form of ``model``'s move rule. On a path
 x-y-z, the legal patterns of bits (x, y, z) are 110 and 001 (a jump and an
@@ -17,8 +17,8 @@ z = 1 by the opposite shift. Flipping bit y afterwards is one more pair of
 shifts, applied once per centre y to the union over its neighbour pairs:
 the states with a peg on y make a jump, the others an unjump. The pieces
 are cut with the per-bit masks M_b, the set of states whose bit b is set;
-``_image`` gives the jump and the unjump half of every level search, and
-``_closure`` applies the same shifts to the reached set one centre at a time.
+``_image`` gives every level of a level search, and ``_closure`` applies
+the same shifts to the reached set one centre at a time.
 
 Because every move is invertible, reachability is symmetric and reachable
 sets are exactly the equivalence classes of mutual reachability;
@@ -37,22 +37,23 @@ R_(D-k-1): the neighbours k + 1 moves from the start on a fewest-move
 route, since a neighbour is at most k + 1 moves from the start, and at
 least k + 1 if it is D - k - 1 moves from the target.
 
-``min_unjumps`` searches levels by unjump count: U_0 is the jump closure
-of the start, U_(k+1) the jump closure of the states one unjump from U_k
-and not seen before, each kept as its jump layers, and the search stops at
-the first level that holds a single-peg state. Its witness is walked back
-from the smallest such peg: at each step, the first ``path_triples`` triple
-whose move is a jump from the previous jump layer of the same level, or,
-from a level's first layer, an unjump from the previous level.
+``min_unjumps`` is a fewest-move search. A jump removes one peg and an
+unjump adds one, so a solve from the one-hole start (n - 1 pegs) to one peg
+with u unjumps has n - 2 + 2u moves: the fewest unjumps are the fewest
+moves. It searches forward to the first level that holds a single-peg
+state, and walks back from the smallest such peg, taking at each step the
+first legal triple that lands in the level before. A move is legal at t
+exactly when its inverse is legal at t ^ mask, the state it leads to, so
+the walk back, reversed and with each move inverted, is a solve.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress
-from operator import or_
 
 from .errors import CapacityExceeded, DisconnectedGraph, PreconditionFailed
 from .model import (
@@ -74,8 +75,7 @@ DEFAULT_MEMORY_BUDGET = 2 << 30
 # member lists and queue slack) and reports show them as estimated_bytes,
 # so they stay fixed. They remain an upper bound on what the set searches
 # hold: the n cached per-bit masks and a few working sets; a level search
-# adds n per-bit slices of the level being moved and one set per level, or
-# for min_unjumps one set per jump layer of every level.
+# adds n per-bit slices of the level being moved and one set per level.
 _BYTES_PER_STATE_SCAN = 24
 _BYTES_PER_STATE_WITNESS = 48
 
@@ -186,21 +186,19 @@ def _centres(g: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]
     return tuple(out)
 
 
-def _image(states: int, g: Graph) -> tuple[int, int]:
-    """The states one legal move away from some state in `states`, as two
-    sets: those reached by a jump and those reached by an unjump."""
+def _image(states: int, g: Graph) -> int:
+    """The states one legal move away from some state in `states`."""
     masks = _bit_masks(g.n)
     on = [states & m for m in masks]  # on[b]: the states with bit b set
-    jumped = unjumped = 0
+    image = 0
     for y, y_shift, pairs in _centres(g):
         flipped = 0  # the movable states with bits x and z flipped
         for x, z, shift in pairs:
             both = on[x] & masks[z]
             flipped |= (on[x] ^ both) << shift | (on[z] ^ both) >> shift
         up = flipped & masks[y]  # a peg on y: the move is a jump
-        jumped |= up >> y_shift
-        unjumped |= (flipped ^ up) << y_shift
-    return jumped, unjumped
+        image |= up >> y_shift | (flipped ^ up) << y_shift
+    return image
 
 
 def _has(states: int, s: int) -> bool:
@@ -234,20 +232,34 @@ def _closure(g: Graph, start: int) -> int:
     return seen
 
 
-def _levels(g: Graph, start: int, target: int) -> list[int]:
+def _levels(g: Graph, start: int, targets: int) -> list[int]:
     """Breadth-first search over state sets from state `start`: the levels
-    L_0 = {start}, L_1, ... up to the first that holds `target` (all of them
-    when it is unreachable)."""
+    L_0 = {start}, L_1, ... up to the first that meets the set `targets`
+    (all of them when no target is reachable)."""
     levels = [1 << start]
     seen = levels[0]
-    while not _has(levels[-1], target):
-        jumped, unjumped = _image(levels[-1], g)
-        frontier = (jumped | unjumped) & ~seen
+    while not levels[-1] & targets:
+        frontier = _image(levels[-1], g) & ~seen
         if not frontier:
             break
         seen |= frontier
         levels.append(frontier)
     return levels
+
+
+def _walk(g: Graph, s: int, levels: Iterable[int]) -> list[Move]:
+    """The moves from state `s` into each of `levels` in turn, each the
+    first legal ``path_triples`` move that lands in the next level."""
+    triples = path_triples(g)
+    chain = []
+    for level in levels:
+        for x, y, z, mask, on_jump, on_unjump in triples:
+            on = s & mask
+            if (on == on_jump or on == on_unjump) and _has(level, s ^ mask):
+                chain.append(Move(JUMP if on == on_jump else UNJUMP, x, y, z))
+                s ^= mask
+                break
+    return chain
 
 
 def _route(g: Graph, start: int, target: int) -> MoveSequence | None:
@@ -256,20 +268,10 @@ def _route(g: Graph, start: int, target: int) -> MoveSequence | None:
     `target`, then a forward walk that takes, from the k-th state, the first
     legal triple into backward level D - k - 1, which is k + 1 moves from
     `start` (see the module docstring)."""
-    back = _levels(g, target, start)
+    back = _levels(g, target, 1 << start)
     if not _has(back[-1], start):
         return None
-    triples = path_triples(g)
-    chain = []
-    s = start
-    for on_route in reversed(back[:-1]):
-        for x, y, z, mask, on_jump, on_unjump in triples:
-            on = s & mask
-            if (on == on_jump or on == on_unjump) and _has(on_route, s ^ mask):
-                chain.append(Move(JUMP if on == on_jump else UNJUMP, x, y, z))
-                s ^= mask
-                break
-    return MoveSequence(Configuration(g.n, start), tuple(chain))
+    return MoveSequence(Configuration(g.n, start), tuple(_walk(g, start, reversed(back[:-1]))))
 
 
 def shortest_route(
@@ -303,20 +305,19 @@ def equivalence_partition(
     so the sweep stays linear in 2^n even when most states are frozen.
     """
     check_budget(g.n, memory_budget)
+    every = (1 << (1 << g.n)) - 1
     # Every move is invertible, so the states one move from some state are
-    # those with a legal move; character s is "1" when state s has one.
-    movable = reduce(or_, _image((1 << (1 << g.n)) - 1, g))
-    movable = format(movable, "b")[::-1].ljust(1 << g.n, "0")
-    placed = bytearray(1 << g.n)
-    blocks = []
-    s = 0
-    while s >= 0:
-        members = _members(_closure(g, s)) if movable[s] == "1" else [s]
-        for m in members:
-            placed[m] = 1
-        blocks.append(frozenset(members))
-        s = placed.find(0, s + 1)
-    return EquivalencePartition(g.n, tuple(blocks))
+    # those with a legal move.
+    movable = _image(every, g)
+    blocks = {s: frozenset((s,)) for s in _members(every ^ movable)}
+    while movable:
+        # the smallest state left is the smallest of its class, which
+        # holds only states with a legal move
+        s = (movable & -movable).bit_length() - 1
+        members = _closure(g, s)
+        movable ^= members
+        blocks[s] = frozenset(_members(members))
+    return EquivalencePartition(g.n, tuple(blocks[s] for s in sorted(blocks)))
 
 
 def _single_peg_states(n: int):
@@ -393,49 +394,16 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
     return Classification(verdict, matrix)
 
 
-def _layer_of(layers: list[int], s: int) -> int:
-    """The index of the layer that holds state s."""
-    return next(i for i, layer in enumerate(layers) if _has(layer, s))
-
-
-def _unjump_route(
-    g: Graph, start: int, target: int, levels: list[list[int]]
-) -> MoveSequence:
-    """Walk back from `target`, which lies in the last of the unjump
-    `levels`, to `start` (see the module docstring for the rule)."""
-    triples = path_triples(g)
-    chain = []
-    t = target
-    k = len(levels) - 1
-    i = _layer_of(levels[k], t)
-    while t != start:
-        if i:
-            i -= 1
-            kind, source = JUMP, levels[k][i]
-        else:
-            k -= 1
-            kind, source = UNJUMP, reduce(or_, levels[k])
-        for x, y, z, mask, on_jump, on_unjump in triples:
-            s = t ^ mask
-            if s & mask == (on_jump if kind is JUMP else on_unjump) and _has(source, s):
-                break
-        chain.append(Move(kind, x, y, z))
-        t = s
-        if kind is UNJUMP:
-            i = _layer_of(levels[k], t)
-    chain.reverse()
-    return MoveSequence(Configuration(g.n, start), tuple(chain))
-
-
 def min_unjumps(
     g: Graph, hole: int, memory_budget: int | None = None
 ) -> MinUnjumpResult | None:
     """Minimum unjumps over all solving sequences from the one-hole start.
 
-    Searches state sets level by level, level k holding the states first
-    reached with k unjumps, up to the first level with a single-peg state;
-    the witness ends on the smallest such peg and attains the minimum.
-    Returns None when the start is not solvable at all.
+    A solve with u unjumps has n - 2 + 2u moves, so this is the fewest-move
+    search of ``_route``, forward to the first level with a single-peg
+    state; the witness ends on the smallest such peg and is walked back
+    through the levels (see the module docstring). Returns None when the
+    start is not solvable at all.
     """
     if not is_connected(g):
         raise DisconnectedGraph("min_unjumps requires a connected graph")
@@ -444,22 +412,12 @@ def min_unjumps(
     check_budget(g.n, memory_budget, witness=True)
     singles = sum(1 << mask for mask, _ in _single_peg_states(g.n))
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    levels: list[list[int]] = []  # the jump layers of each level
-    seen = layer = 1 << start
-    while layer:
-        layers = []
-        by_unjump = 0  # the states one unjump from this level
-        while layer:
-            layers.append(layer)
-            jumped, unjumped = _image(layer, g)
-            by_unjump |= unjumped
-            layer = jumped & ~seen
-            seen |= layer
-        levels.append(layers)
-        ends = reduce(or_, layers) & singles
-        if ends:
-            target = (ends & -ends).bit_length() - 1
-            return MinUnjumpResult(len(levels) - 1, _unjump_route(g, start, target, levels))
-        layer = by_unjump & ~seen
-        seen |= layer
-    return None
+    levels = _levels(g, start, singles)
+    ends = levels[-1] & singles
+    if not ends:
+        return None
+    back = _walk(g, (ends & -ends).bit_length() - 1, reversed(levels[:-1]))
+    witness = MoveSequence(
+        Configuration(g.n, start), tuple(m.inverse() for m in reversed(back))
+    )
+    return MinUnjumpResult(witness.unjump_count(), witness)

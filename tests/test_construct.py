@@ -5,6 +5,7 @@ import pytest
 from revpeg.construct import (
     HEmbedding,
     WorkingTree,
+    _build_frame,
     _lone_peg_hops,
     absorb_nearest_peg,
     find_h_embedding,
@@ -324,6 +325,17 @@ class TestAbsorb:
         emb = find_h_embedding(t)
         with pytest.raises(PreconditionFailed):
             absorb_nearest_peg(t, emb, Configuration.with_hole(5, 1))
+
+    def test_frame_built_once_per_tree_and_embedding(self):
+        g = Graph(7, [(1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
+        t = find_spanning_tree(g)
+        emb = find_h_embedding(t)
+        c, _ = shift_hole_onto_h(t, emb, Configuration.with_hole(7, 7))
+        absorb_nearest_peg(t, emb, c)
+        misses = _build_frame.cache_info().misses
+        absorb_nearest_peg(t, emb, c)
+        shift_hole_onto_h(t, emb, Configuration.with_hole(7, 7))
+        assert _build_frame.cache_info().misses == misses
 
 
 class TestSolveConstructive:

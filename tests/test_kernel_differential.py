@@ -9,10 +9,14 @@ apart from names, so the kernels in ``revpeg.oracle`` must reproduce their
 end sets, witnesses, unjump counts, end pegs, partitions, classifications
 and routes exactly.
 
-The one exception is the min_unjumps witness: the deque's choice follows
-its LIFO order inside a level, which a search over state sets does not
-see. ``ref_unjump_witness`` states the rule the oracle uses instead, one
-state at a time, and the oracle must reproduce it exactly.
+The one exception is the min_unjumps witness. The deque search keeps the
+first discoverer of each state in its own order, jumps pushed to the
+front, which a search over state sets does not see. The oracle counts
+unjumps by moves instead: a solve with u unjumps has n - 2 + 2u moves.
+``ref_unjump_witness`` states its witness rule one state at a time (FIFO
+distances, the smallest single peg at the least distance, a walk back
+through distance d - 1), and the oracle must reproduce it exactly; the
+deque still fixes the count and the end peg.
 
 ``PYTHONPATH=src python tests/test_kernel_differential.py N`` runs the
 check over every labeled connected graph on N vertices.
@@ -216,59 +220,41 @@ def ref_min_unjumps(g, hole):
     return dist[best], ref_rebuild(g, start, best, parent_state, parent_triple)
 
 
-def ref_unjump_labels(g, start):
-    """(unjumps, jump layer) of every state reachable from `start`: level
-    k + 1 starts from the unlabeled states one unjump from level k, and a
-    FIFO search over jumps gives the layers inside a level."""
-    triples = ref_directed_triples(g)
-    label = {start: (0, 0)}
-    seeds = [start]
-    k = 0
-    while seeds:
-        queue = deque(seeds)
-        level = []
-        while queue:
-            s = queue.popleft()
-            level.append(s)
-            i = label[s][1]
-            for mask, bx, by, bz in triples:
-                t = s ^ mask
-                if s & bx and s & by and not s & bz and t not in label:
-                    label[t] = (k, i + 1)
-                    queue.append(t)
-        k += 1
-        seeds = []
-        for s in level:
-            for mask, bx, by, bz in triples:
-                t = s ^ mask
-                if not s & bx and not s & by and s & bz and t not in label:
-                    label[t] = (k, 0)
-                    seeds.append(t)
-    return label
-
-
 def ref_unjump_witness(g, hole):
-    """The min_unjumps witness by its rule: end on the smallest single peg
-    with the fewest unjumps, and walk back taking the first triple whose
-    move is a jump from the previous layer of the same level, or, from a
-    level's first layer, an unjump from the previous level."""
+    """The min_unjumps witness by its rule: FIFO distances from the start,
+    the smallest single peg at the least distance, and a walk back taking
+    the first triple whose move from a state at distance d - 1 lands on the
+    current state."""
+    triples = ref_directed_triples(g)
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    label = ref_unjump_labels(g, start)
-    ends = [1 << (v - 1) for v in g.vertices() if 1 << (v - 1) in label]
+    dist = {start: 0}
+    queue = deque((start,))
+    while queue:
+        s = queue.popleft()
+        for mask, bx, by, bz in triples:
+            if s & bx:
+                if not (s & by) or (s & bz):
+                    continue
+            elif (s & by) or not (s & bz):
+                continue
+            if s ^ mask not in dist:
+                dist[s ^ mask] = dist[s] + 1
+                queue.append(s ^ mask)
+    ends = [1 << (v - 1) for v in g.vertices() if 1 << (v - 1) in dist]
     if not ends:
         return None
-    triples = ref_directed_triples(g)
     moves_xyz = ref_triple_moves(g)
     chain = []
-    t = min(ends, key=lambda e: label[e][0])
+    t = min(ends, key=dist.get)
     while t != start:
-        k, i = label[t]
         for (mask, bx, by, bz), (x, y, z) in zip(triples, moves_xyz):
             s = t ^ mask
-            if i and s & bx and s & by and not s & bz and label[s] == (k, i - 1):
+            if dist.get(s) != dist[t] - 1:
+                continue
+            if s & bx and s & by and not s & bz:
                 chain.append(Move(JUMP, x, y, z))
                 break
-            if not i and not s & bx and not s & by and s & bz and label[s][0] == k - 1:
+            if not s & bx and not s & by and s & bz:
                 chain.append(Move(UNJUMP, x, y, z))
                 break
         t = s
@@ -281,8 +267,7 @@ def ref_level_closure(g, start):
     levels = [1 << start]
     seen = levels[0]
     while True:
-        jumped, unjumped = _image(levels[-1], g)
-        frontier = (jumped | unjumped) & ~seen
+        frontier = _image(levels[-1], g) & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -383,11 +368,14 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
             assert res.end_pegs == ends
             want = ref_rebuild(g, start, 1 << (min(ends) - 1), parent_state, parent_triple)
             assert res.witness == want
+        lengths = []  # of the witnesses to each reachable peg
         for peg in pegs or g.vertices():
             target = 1 << (peg - 1)
             want = (ref_rebuild(g, start, target, parent_state, parent_triple)
                     if visited[target] else None)
             assert witness_to(g, hole, peg) == want
+            if want is not None:
+                lengths.append(len(want))
         ref = ref_min_unjumps(g, hole)
         got = min_unjumps(g, hole)
         if ref is None:
@@ -397,6 +385,11 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
             assert got.count == count
             assert replay(g, got.witness) == replay(g, deque_witness)
             assert got.witness == ref_unjump_witness(g, hole)
+            # a solve with u unjumps has n - 2 + 2u moves, so the fewest
+            # unjumps are the fewest moves to any single peg
+            assert len(got.witness) == g.n - 2 + 2 * count
+            if pegs is None:
+                assert len(got.witness) == min(lengths)
 
 
 def test_legal_moves_h():
