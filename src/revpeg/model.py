@@ -120,8 +120,9 @@ def bfs(adj, sources) -> tuple[list[int], list[int], list[int]]:
     return dist, parent, order
 
 
+@lru_cache(maxsize=256)
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 1."""
+    """Breadth-first reachability of every vertex from vertex 1, cached per graph."""
     return len(bfs(g.adj, (1,))[2]) == g.n
 
 

@@ -2,9 +2,12 @@
 
 States are raw peg bitmasks. A set of states is one Python int with bit s
 set for each state s in it, and every search works on whole sets. Reachable
-sets come from sweeps over the centres to a fixpoint. Witnesses and
-``min_unjumps`` come from one level search, breadth-first over sets: the
-next frontier is the image of the last one, less the states already seen.
+sets come from sweeps that apply the centres back and forth along a BFS
+order of the vertices, until every centre has been applied to the current
+set without adding a state: that set is closed under moves, so it is the
+fixpoint. Witnesses and ``min_unjumps`` come from one level search,
+breadth-first over sets: the next frontier is the image of the last one,
+less the states already seen.
 
 The image rests on the "x != z" form of ``model``'s move rule. On a path
 x-y-z, the legal patterns of bits (x, y, z) are 110 and 001 (a jump and an
@@ -53,7 +56,7 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, cycle
 
 from .errors import CapacityExceeded, DisconnectedGraph, PreconditionFailed
 from .model import (
@@ -63,6 +66,7 @@ from .model import (
     Graph,
     Move,
     MoveSequence,
+    bfs,
     is_connected,
     path_triples,
 )
@@ -172,9 +176,12 @@ def _bit_masks(n: int) -> tuple[int, ...]:
 def _centres(g: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
     """(y - 1, 2^(y-1), pairs) per vertex y with two or more neighbours,
     where pairs holds (x - 1, z - 1, 2^(z-1) - 2^(x-1)) per neighbour pair
-    x < z: the unordered path triples centred at y."""
+    x < z: the unordered path triples centred at y. The vertices come in the
+    order of a BFS from the vertex that a BFS from vertex 1 reaches last,
+    then the vertices it does not reach, by label: ``_closure``'s order."""
+    dist, _, order = bfs(g.adj, bfs(g.adj, (1,))[2][-1:])
     out = []
-    for y in g.vertices():
+    for y in order + [v for v in g.vertices() if dist[v] < 0]:
         nb = g.adj[y]
         if len(nb) >= 2:
             pairs = tuple(
@@ -212,23 +219,29 @@ def _members(states: int) -> list[int]:
 
 
 def _closure(g: Graph, start: int) -> int:
-    """The states reachable from state `start`, by sweeps over the centres
-    until a whole sweep adds nothing. Each centre adds at once every state
-    one move around it from the set reached so far, by the shifts of
-    ``_image``. So every state added is reachable, and the fixpoint is
-    closed under moves: it is the whole reachable set."""
+    """The states reachable from state `start`. Each centre adds at once
+    every state one move around it from the set reached so far, by the
+    shifts of ``_image``, so every state added is reachable. The centres go
+    back and forth along their BFS order, which carries what one adds on to
+    its neighbours both ways in a pass, and stop once each has been applied
+    to the current set without adding a state: that set is closed under
+    every move, so it is the whole reachable set ({start} with no centre)."""
     masks = _bit_masks(g.n)
-    seen, before = 1 << start, 0
-    while seen != before:
-        before = seen
-        for y, y_shift, pairs in _centres(g):
-            flipped = 0  # the movable states with bits x and z flipped
-            for x, z, shift in pairs:
-                movable = seen & (masks[x] ^ masks[z])
-                x_on = movable & masks[x]
-                flipped |= x_on << shift | (movable ^ x_on) >> shift
-            up = flipped & masks[y]  # a peg on y: the move is a jump
-            seen |= up >> y_shift | (flipped ^ up) << y_shift
+    centres = _centres(g)
+    every = sum(y_shift for _, y_shift, _ in centres)  # the centres' vertex bits
+    seen, quiet = 1 << start, 0  # quiet: those of centres that added nothing to seen
+    for y, y_shift, pairs in cycle(centres + centres[-2:0:-1]):  # c_0 .. c_(k-1) .. c_1
+        flipped = 0  # the movable states with bits x and z flipped
+        for x, z, shift in pairs:
+            movable = seen & (masks[x] ^ masks[z])
+            x_on = movable & masks[x]
+            flipped |= x_on << shift | (movable ^ x_on) >> shift
+        up = flipped & masks[y]  # a peg on y: the move is a jump
+        grown = seen | up >> y_shift | (flipped ^ up) << y_shift
+        quiet = quiet | y_shift if grown == seen else 0
+        if quiet == every:
+            break
+        seen = grown
     return seen
 
 

@@ -49,6 +49,7 @@ from revpeg.oracle import (
     Verdict,
     _closure,
     _image,
+    _members,
     classify,
     equivalence_partition,
     min_unjumps,
@@ -426,6 +427,48 @@ def test_closure_matches_level_union(family, n):
         assert _closure(g, start) == ref_level_closure(g, start), hole
 
 
+def assert_closure_agrees(g, starts):
+    for start in starts:
+        assert _closure(g, start) == ref_level_closure(g, start), (g.sorted_edges(), start)
+
+
+def one_hole_starts(g):
+    full = (1 << g.n) - 1
+    return [full ^ (1 << (hole - 1)) for hole in g.vertices()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closure_all_labeled_graphs_every_state(n):
+    for g in labeled_connected_graphs(n):
+        assert_closure_agrees(g, range(1 << n))
+
+
+def test_closure_seeded_one_hole_starts():
+    rng = random.Random(1419)
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(6, 14), extra=rng.randint(0, 5))
+        assert_closure_agrees(g, one_hole_starts(g))
+
+
+@pytest.mark.parametrize("g", [
+    Graph(1, []),
+    Graph(2, [(1, 2)]),
+    Graph(4, []),
+    Graph(4, [(1, 2), (3, 4)]),
+    Graph(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)]),
+    Graph(6, [(2, 3), (3, 4), (4, 5), (5, 6), (2, 6)]),
+], ids=["n1", "edge", "edgeless", "matching", "path+triangle", "isolated-1+cycle"])
+def test_closure_without_centres_or_connectivity(g):
+    # no centre: the closure is the start alone; centres the BFS from
+    # vertex 1 misses are swept all the same
+    assert_closure_agrees(g, range(1 << g.n))
+    assert equivalence_partition(g).blocks == ref_partition(g)
+    for s in range(1 << g.n):
+        c = Configuration(g.n, s)
+        assert reachable_set(g, c) == frozenset(
+            Configuration(g.n, t) for t in _members(ref_level_closure(g, s)))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_all_labeled_graphs(n):
     for g in labeled_connected_graphs(n):
@@ -454,6 +497,7 @@ if __name__ == "__main__":
     n = int(sys.argv[1])
     count = 0
     for graph in labeled_connected_graphs(n):
+        assert_closure_agrees(graph, one_hole_starts(graph))
         assert_kernels_agree(graph)
         count += 1
     print(f"n={n}: kernels agree on all {count} labeled connected graphs")

@@ -14,7 +14,14 @@ from revpeg.families import (
     paw_graph,
     star_graph,
 )
-from revpeg.model import Configuration, Graph, MoveSequence, legal_moves, replay
+from revpeg.model import (
+    Configuration,
+    Graph,
+    MoveSequence,
+    is_connected,
+    legal_moves,
+    replay,
+)
 from revpeg.oracle import (
     Verdict,
     classify,
@@ -25,7 +32,7 @@ from revpeg.oracle import (
     solve_from,
     witness_to,
 )
-from revpeg.oracle import _bit_masks, _image, _members
+from revpeg.oracle import _bit_masks, _centres, _image, _members
 
 from conftest import random_connected_graph
 
@@ -123,6 +130,17 @@ class TestStateSets:
             }
             got = _members(_image(sum(1 << s for s in states), g))
             assert got == sorted(want), (g.sorted_edges(), states)
+
+    def test_centres_follow_a_bfs_order(self):
+        # a BFS from vertex 1 of path:6 reaches 6 last, and a BFS from 6
+        # meets the centres in the order 5, 4, 3, 2
+        assert [(y + 1, y_bit) for y, y_bit, _ in _centres(path_graph(6))] == [
+            (5, 16), (4, 8), (3, 4), (2, 2)]
+        # the centres of the triangle, which the BFS does not reach, follow
+        # by label
+        g = Graph(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+        assert [y + 1 for y, _, _ in _centres(g)] == [3, 2, 5, 6, 7]
+        assert _centres(Graph(3, [(1, 2)])) == ()
 
     def test_edgeless_partition_is_fast(self):
         t0 = time.perf_counter()
@@ -346,6 +364,16 @@ class TestClassify:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraph):
             classify(Graph(3, [(1, 2)]))
+
+    def test_connectivity_checked_once_per_graph(self):
+        g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 5)])
+        classify(g)
+        misses = is_connected.cache_info().misses
+        solve_from(g, 1)
+        witness_to(g, 1, 6)
+        min_unjumps(g, 1)
+        classify(Graph(6, g.sorted_edges()))  # an equal graph shares the entry
+        assert is_connected.cache_info().misses == misses
 
 
 class TestWitnessTo:
