@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 
-from .construct import line_solver_witness, solve_constructive
+# line_solver_witness stays importable from here: tests and the benchmark
+# call census.line_solver_witness.
+from .construct import _solve_line, line_solver_witness, solve_constructive
 from .errors import PreconditionFailed, SolitaireError
 from .families import is_star_shape
 from .graphio import serialize_graph
@@ -90,7 +92,9 @@ def closed_form_mismatches(
 
 
 def check_graph(g: Graph) -> dict:
-    """One census record: shape, verdict, and any trichotomy violations."""
+    """One census record: shape, verdict, and any trichotomy violations.
+    A path or cycle is solved by the line kernel on the line order that
+    ``closed_form`` found, so the order is worked out once per graph."""
     cls = classify(g)
     shape, order, closed = closed_form(g)
     failures = closed_form_mismatches(cls, order, closed)
@@ -101,8 +105,9 @@ def check_graph(g: Graph) -> dict:
         if not ends:
             continue
         try:
-            seq = line_solver_witness(g, hole)
-            if seq is None:  # an empty MoveSequence is falsy
+            if shape in ("path", "cycle"):
+                seq = _solve_line(shape, order, hole)
+            else:
                 seq = solve_constructive(g, hole)
             end = replay(g, seq)
         except SolitaireError as exc:

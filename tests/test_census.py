@@ -6,7 +6,9 @@ from revpeg.census import (
     line_solver_witness,
     sample_solver_graph,
 )
-from revpeg.families import is_star_shape, paw_graph, star_graph
+from conftest import relabeled
+from revpeg.families import cycle_graph, is_star_shape, path_graph, paw_graph, star_graph
+from revpeg.invariants import closed_form
 from revpeg.model import Graph, replay
 
 
@@ -114,3 +116,47 @@ def test_check_graph_compares_the_closed_form_for_every_shape(monkeypatch):
     monkeypatch.setattr(census, "closed_form", lying)
     for g in (star_graph(5), paw_graph(), Graph(4, [(1, 3), (3, 2), (2, 4)])):
         assert any("mismatch" in f for f in check_graph(g)["failures"]), g
+
+
+def replayed_witnesses(monkeypatch, g):
+    """Run check_graph on g and return the witnesses it replays, by hole."""
+    import revpeg.census as census
+
+    seen = {}
+
+    def recording(graph, seq):
+        seen[seq.start.hole_vertices()[0]] = seq
+        return replay(graph, seq)
+
+    monkeypatch.setattr(census, "replay", recording)
+    assert check_graph(g)["failures"] == []
+    return seen
+
+
+def test_check_graph_line_witnesses_are_the_line_solvers(monkeypatch):
+    rng = random.Random(4141)
+    graphs = [g for n in range(2, 6) for g in labeled_connected_graphs(n)]
+    graphs += [relabeled(rng, line(n)) for n in range(3, 21) for line in (path_graph, cycle_graph)]
+    lines = 0
+    for g in graphs:
+        if closed_form(g)[0] in ("path", "cycle"):
+            witnesses = replayed_witnesses(monkeypatch, g)
+            assert all(seq == line_solver_witness(g, h) for h, seq in witnesses.items())
+            lines += bool(witnesses)
+    assert lines > 40
+
+
+def test_check_graph_finds_the_line_order_once_per_graph(monkeypatch):
+    import revpeg.construct as construct
+    import revpeg.invariants as invariants
+
+    calls = []
+    for module in (construct, invariants):
+        for name in ("path_order", "cycle_order"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda g, f=real: calls.append(f.__name__) or f(g))
+    rng = random.Random(4242)
+    for line, want in ((path_graph, ["path_order"]), (cycle_graph, ["path_order", "cycle_order"])):
+        calls.clear()
+        assert len(replayed_witnesses(monkeypatch, relabeled(rng, line(8)))) > 1
+        assert calls == want

@@ -11,11 +11,19 @@ lists exactly, and raise the same exception types where they refuse;
 routes the lone peg over its own hop table, which lists every 4-path hop
 and every H teleport, repeats included.
 
+The general solver's moves come from caches shared by every witness
+(``_macro_moves``, ``_h_walk``), so the comparison also runs where those
+caches pay off: from every hole of the freely but not doubly freely
+solvable subdivided graphs with n = 54-63 that the construct-64 benchmark
+solves, built here the way ``perfbench/workloads.py`` builds them, with the
+public step functions compared one step at a time.
+
 ``PYTHONPATH=src python tests/test_construct_differential.py N`` runs the
 check from every hole of every labeled connected graph on N vertices, and
 for every (hole, target) pair of the doubly freely solvable ones.
 """
 
+import heapq
 import random
 import sys
 from collections import deque
@@ -30,10 +38,14 @@ from revpeg.construct import (
     _solve_paw_four,
     HEmbedding,
     WorkingTree,
+    absorb_nearest_peg,
     find_h_embedding,
     find_spanning_tree,
+    p4_move,
+    shift_hole_onto_h,
     solve_constructive,
     solve_constructive_to,
+    transform_within_h,
 )
 from revpeg.errors import (
     InvariantViolation,
@@ -460,6 +472,99 @@ def test_seeded_graphs_with_long_tails():
     for n in (10, 13, 16, 20):
         g = random_connected_graph(rng, n, extra=1)
         assert_solvers_agree(g, targets=seeded_targets(rng, n, 4))
+
+
+def subcubic_tree(rng, k):
+    """A uniform random labeled tree on k vertices with (k - 2) // 2
+    vertices of degree 3, (k - 2) // 2 + 2 leaves and the rest of degree 2,
+    decoded from a shuffled Pruefer sequence."""
+    branch = (k - 2) // 2
+    degrees = [3] * branch + [1] * (branch + 2) + [2] * (k - 2 * branch - 2)
+    rng.shuffle(degrees)
+    deg = [0] + degrees
+    seq = [v for v in range(1, k + 1) for _ in range(deg[v] - 1)]
+    rng.shuffle(seq)
+    leaves = [v for v in range(1, k + 1) if deg[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, v), max(leaf, v)))
+        deg[v] -= 1
+        if deg[v] == 1:
+            heapq.heappush(leaves, v)
+    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((min(u, w), max(u, w)))
+    return edges
+
+
+def subdivided_benchmark_graph(rng, k):
+    """The subcubic tree plus one chord between two leaves, every edge
+    replaced by a 3-edge path: n = 3k, every path between branch vertices
+    and the one cycle of length divisible by 3."""
+    base = subcubic_tree(rng, k)
+    deg = [0] * (k + 1)
+    for u, v in base:
+        deg[u] += 1
+        deg[v] += 1
+    leaves = [v for v in range(1, k + 1) if deg[v] == 1]
+    present = set(base)
+    base.append(rng.choice([(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]
+                            if (a, b) not in present]))
+    edges = []
+    nxt = k + 1
+    for u, v in base:
+        edges += [(min(u, nxt), max(u, nxt)), (nxt, nxt + 1), (min(v, nxt + 1), max(v, nxt + 1))]
+        nxt += 2
+    return Graph(nxt - 1, edges)
+
+
+@pytest.mark.parametrize("k", [18, 19, 20, 21])
+def test_seeded_subdivided_graphs_every_hole(k):
+    rng = random.Random(6400 + k)
+    g = subdivided_benchmark_graph(rng, k)
+    assert g.n == 3 * k and g.max_degree() == 3 and not doubly_free_predicate(g)
+    assert_solvers_agree(g, targets=seeded_targets(rng, g.n, 2))
+
+
+def assert_steps_agree(g, hole):
+    """Walk one solve with the public step functions and the reference ones
+    side by side: the hole shift, every absorption and the last within-H
+    walk must return the same configuration and moves."""
+    t = find_spanning_tree(g)
+    emb = find_h_embedding(t)
+    c = Configuration.with_hole(g.n, hole)
+    step = shift_hole_onto_h(t, emb, c)
+    assert step == ref_shift_hole_onto_h(t, emb, c)
+    c = step[0]
+    while any(v not in emb.vertices for v in c.peg_vertices()):
+        step = absorb_nearest_peg(t, emb, c)
+        assert step == ref_absorb_nearest_peg(t, emb, c)
+        c = step[0]
+    rep = {emb.a if h_class_of(emb.mask_of(c)) is HClass.A else emb.c}
+    assert transform_within_h(emb, c, rep) == ref_transform_within_h(emb, c, rep)
+
+
+def four_paths(g):
+    return [(u, p1, p2, w) for u in g.vertices() for p1 in g.adj[u] for p2 in g.adj[p1]
+            if p2 != u for w in g.adj[p2] if w not in (u, p1)]
+
+
+@pytest.mark.parametrize("k", [18, 21])
+def test_step_functions_return_the_reference_moves(k):
+    rng = random.Random(6400 + k)
+    g = subdivided_benchmark_graph(rng, k)
+    for hole in rng.sample(range(1, g.n + 1), 8):
+        assert_steps_agree(g, hole)
+    # Each 4-path in both cases, twice (the second call plays the shared
+    # moves), and with a pattern that matches neither case.
+    full = (1 << g.n) - 1
+    for path in rng.sample(four_paths(g), 60):
+        bits = [1 << (v - 1) for v in path]
+        for pegs in (bits[0], full ^ bits[0], full, bits[0] | bits[3], 0):
+            c = Configuration(g.n, pegs)
+            for _ in range(2):
+                assert outcome(p4_move, g, c, path) == outcome(ref_p4_move, g, c, path)
 
 
 def first_hops(g):

@@ -8,6 +8,11 @@ restriction inside class A or B, so both checks must refuse when they fail.
 Each absorption plays its vertex's plan, which must hold what a walk along
 ``toward`` derives: the vertices between the peg and H, the march 4-paths
 and, per H class, the staging mask and the entry 4-path.
+
+The macro moves and within-H walks come from shared caches, so the peg/hole
+checks must still run on every play: a corrupted route or a peg mask that
+matches neither macro case raises as it did when each move was built on
+the spot.
 """
 
 import random
@@ -15,6 +20,7 @@ import random
 import pytest
 
 from conftest import random_connected_graph, relabeled
+import revpeg.construct as construct
 from revpeg.construct import (
     _ABSORB,
     HEmbedding,
@@ -22,13 +28,25 @@ from revpeg.construct import (
     _absorb,
     _build_frame,
     _frame,
+    _p4,
     _path_toward_h,
     absorb_nearest_peg,
+    p4_move,
+    solve_constructive,
+    transform_within_h,
 )
-from revpeg.errors import PreconditionFailed
+from revpeg.errors import IllegalMove, PatternMismatch, PreconditionFailed
 from revpeg.families import h_graph, is_star_shape
 from revpeg.hclasses import HClass, h_class_of, letter_mask
-from revpeg.model import Configuration, Graph, MoveSequence, replay
+from revpeg.model import (
+    JUMP,
+    UNJUMP,
+    Configuration,
+    Graph,
+    Move,
+    MoveSequence,
+    replay,
+)
 
 EMB = HEmbedding(1, 2, 3, 4, 5)
 
@@ -129,3 +147,55 @@ def test_plans_on_a_long_tail():
     assert marching == list(range(9, 16))
     for v in frame.order:
         assert_plan_matches_the_walk(frame, v)
+
+
+@pytest.fixture
+def fresh_walks():
+    """Clear the shared within-H walks around a test that corrupts
+    ``h_route``, so no corrupted walk is served before or after it."""
+    construct._h_walk.cache_clear()
+    yield
+    construct._h_walk.cache_clear()
+
+
+def test_corrupted_route_fails_its_pattern_check(monkeypatch, fresh_walks):
+    # A lone peg on a cannot jump, so the route's first move must fail.
+    monkeypatch.setattr(construct, "h_route", lambda src, dst: (Move(JUMP, 1, 3, 4),))
+    with pytest.raises(IllegalMove, match=r"^jump\(1,3,4\): peg/hole pattern does not match$"):
+        transform_within_h(EMB, Configuration.from_vertices(5, h_pegs("a")), h_pegs("b"))
+
+
+def test_corrupted_route_fails_inside_a_solve(monkeypatch, fresh_walks):
+    g = tail_graph(4)
+    a, _, c, d, _ = _frame(g).emb.vertices
+    # After the hole shift H holds one hole, and an unjump needs two.
+    monkeypatch.setattr(construct, "h_route", lambda src, dst: (Move(UNJUMP, 1, 3, 4),))
+    with pytest.raises(
+        IllegalMove, match=rf"^unjump\({a},{c},{d}\): peg/hole pattern does not match$"
+    ):
+        solve_constructive(g, 7)
+
+
+def test_shared_macros_check_every_play():
+    g = tail_graph(10)
+    for hole in g.vertices():
+        solve_constructive(g, hole)  # caches every march, entry and shift macro
+    frame = _frame(g)
+    paths = {frame.plans[v][i] for v in frame.order for i in (1, 3, 5)} - {None}
+    full = (1 << g.n) - 1
+    for path in paths:
+        v0, v1, v2, v3 = path
+        bits = [1 << (v - 1) for v in path]
+        # The case the solve never played gets its own moves.
+        moves = []
+        assert _p4(full ^ bits[0], path, moves) == full ^ bits[3]
+        assert moves == [Move(JUMP, v2, v1, v0), Move(UNJUMP, v1, v2, v3)]
+        for pegs in (full, bits[0] | bits[1], 0):
+            states = tuple(bool(pegs & b) for b in bits)
+            with pytest.raises(PatternMismatch) as err:
+                _p4(pegs, path, [])
+            assert str(err.value) == (
+                f"path {path} holds pegs {states}; need peg+3 holes or hole+3 pegs"
+            )
+            with pytest.raises(PatternMismatch, match="need peg\\+3 holes or hole\\+3 pegs"):
+                p4_move(g, Configuration(g.n, pegs), list(path))
