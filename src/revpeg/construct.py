@@ -21,7 +21,10 @@ and costs O(n + moves). It runs on the int peg mask, checks each move with
 model's rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs
 pattern is that rule for both of its moves), and builds ``Configuration``
 objects only at phase boundaries; the public step functions wrap the same
-kernels.
+kernels. The H restriction is read once, after the hole shift, and then
+carried through the solve: an absorption lands its peg on a hole of the
+staging, so the restriction after it is the staging plus the landing
+letter. Each absorption checks it against the pegs on H once.
 
 A witness shares its moves instead of building one per step. The two moves
 of a 4-path macro depend only on the path and on the case it plays (a peg
@@ -29,12 +32,13 @@ across three holes, or a hole across three pegs), and a within-H walk only
 on the embedded H vertices and its two abstract masks. So ``_macro_moves``
 and ``_h_walk`` build each once, in fixed-size LRU caches, and hand the
 same ``Move`` objects to every later solve; the kernels still check each
-move's peg/hole pattern on the int mask before they append it. A witness
-thus holds one tuple slot per move plus its share of the cached moves
-(CPython 3.11, 64-bit): 64 witnesses of a seeded n = 64 graph hold 14.8
-bytes per move, against 115.6 when every move was built
-(``tests/test_witness_memory.py``), and one 5.85M-move witness of a
-thin graph with n = 10^4 held 8.4, measured with ``CAPACITY`` raised.
+move's peg/hole pattern on the int mask before they append it, a within-H
+move by one ``&`` and ``==`` against the mask and legal pattern cached
+with it. A witness thus holds one tuple slot per move plus its share of
+the cached moves (CPython 3.11, 64-bit): 64 witnesses of a seeded n = 64
+graph hold 14.8 bytes per move, against 115.6 when every move was built
+(``tests/test_witness_memory.py``), and one 5.85M-move witness of a thin
+graph with n = 10^4 held 8.4, measured with ``CAPACITY`` raised.
 
 On a doubly free graph ``solve_constructive_to`` routes the last peg by a
 BFS over ``_lone_peg_hops``, which keeps only the first hop from each vertex
@@ -65,7 +69,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .families import cycle_order, is_star_shape, path_order
-from .hclasses import HClass, LETTERS, h_class_of, h_route, letter_mask
+from .hclasses import HClass, LETTERS, class_table, h_route, letter_mask, mask_letters
 from .invariants import classify_path, classify_cycle, doubly_free_predicate
 from .model import (
     JUMP,
@@ -128,6 +132,9 @@ def _h_bits(vs: tuple[int, ...], pegs: int) -> int:
     return m
 
 
+_CLASS = tuple(class_table()[m] for m in range(32))  # indexed by the abstract mask
+
+
 # ---------------------------------------------------------------------------
 # Move kernels on the int peg mask
 # ---------------------------------------------------------------------------
@@ -145,10 +152,17 @@ def _macro_moves(path: tuple[int, int, int, int], peg: bool) -> tuple[Move, Move
 
 
 @lru_cache(maxsize=512)
-def _h_walk(vs: tuple[int, ...], src: int, dst: int) -> tuple[Move, ...]:
+def _h_walk(vs: tuple[int, ...], src: int, dst: int) -> tuple[tuple[Move, int, int], ...]:
     """``h_route(src, dst)`` on the embedded H vertices ``vs``, built once
-    and shared. Raises NotSameClass across classes."""
-    return tuple(Move(r.kind, vs[r.x - 1], vs[r.y - 1], vs[r.z - 1]) for r in h_route(src, dst))
+    and shared, as (move, mask, legal pattern) per move: the move is legal
+    on a peg mask whose bits under ``mask`` equal the pattern. Raises
+    NotSameClass across classes."""
+    walk = []
+    for r in h_route(src, dst):
+        m = Move(r.kind, vs[r.x - 1], vs[r.y - 1], vs[r.z - 1])
+        bx, by, bz = 1 << (m.x - 1), 1 << (m.y - 1), 1 << (m.z - 1)
+        walk.append((m, bx | by | bz, bx | by if m.kind is JUMP else bz))
+    return tuple(walk)
 
 
 def _p4(pegs: int, path: tuple[int, int, int, int], moves: list[Move]) -> int:
@@ -172,14 +186,15 @@ def _p4(pegs: int, path: tuple[int, int, int, int], moves: list[Move]) -> int:
     return pegs ^ b0 ^ b3
 
 
-def _within_h(vs: tuple[int, ...], pegs: int, dst: int, moves: list[Move]) -> int:
-    """Walk the H restriction of ``pegs`` to the abstract mask ``dst`` along
-    ``h_route``, on the embedded H vertices ``vs``; append the moves and
-    return the new mask. Raises NotSameClass across classes."""
-    for m in _h_walk(vs, _h_bits(vs, pegs), dst):
-        if not _pattern_ok(pegs, m):
+def _within_h(vs: tuple[int, ...], pegs: int, src: int, dst: int, moves: list[Move]) -> int:
+    """Walk the H restriction of ``pegs``, the abstract mask ``src``, to the
+    abstract mask ``dst`` along ``h_route``, on the embedded H vertices
+    ``vs``; append the moves and return the new mask. Raises NotSameClass
+    across classes."""
+    for m, mask, legal in _h_walk(vs, src, dst):
+        if pegs & mask != legal:
             raise IllegalMove(f"{m}: peg/hole pattern does not match")
-        pegs ^= m.mask()
+        pegs ^= mask
         moves.append(m)
     return pegs
 
@@ -283,7 +298,7 @@ def transform_within_h(
         raise PreconditionFailed(f"target pegs {sorted(stray)} are outside H")
     dst = _h_bits(emb.vertices, sum(1 << (v - 1) for v in target))
     moves: list[Move] = []
-    pegs = _within_h(emb.vertices, c.pegs, dst, moves)
+    pegs = _within_h(emb.vertices, c.pegs, emb.mask_of(c), dst, moves)
     return Configuration(c.n, pegs), MoveSequence(c, tuple(moves))
 
 
@@ -415,11 +430,20 @@ def _shift_hole(f: _Frame, pegs: int, hole: int, moves: list[Move]) -> int:
     return pegs
 
 
-def _absorb(f: _Frame, pegs: int, peg: int, moves: list[Move]) -> int:
+def _absorb(
+    f: _Frame, pegs: int, peg: int, moves: list[Move], h: int | None = None
+) -> tuple[int, int]:
     """Carry the outside peg on ``peg`` into H by its plan, keeping the H
-    restriction in class A or B; append the moves and return the new mask."""
+    restriction in class A or B; append the moves and return the new mask
+    and H restriction. ``h``, the H restriction the solve carries (read
+    from ``pegs`` when None), is checked against ``pegs``."""
     vs = f.emb.vertices
-    before_class = h_class_of(_h_bits(vs, pegs))
+    on_h = _h_bits(vs, pegs)
+    h = on_h if h is None else h
+    if on_h != h:
+        msg = f"tracked H restriction {mask_letters(h) or 'empty'} disagrees with the pegs on H"
+        raise InvariantViolation(msg)
+    before_class = _CLASS[h]
     if before_class not in (HClass.A, HClass.B):
         raise PreconditionFailed(f"H restriction is {before_class.value}, need A or B")
     outside = (pegs & ~f.h_mask).bit_count()
@@ -432,15 +456,17 @@ def _absorb(f: _Frame, pegs: int, peg: int, moves: list[Move]) -> int:
         march = f.plans[march[3]][1]
     # The march stays outside H, so the class is still before_class.
     i = 2 if before_class is HClass.A else 4
-    pegs = _p4(_within_h(vs, pegs, plan[i], moves), plan[i + 1], moves)
-    after_class = h_class_of(_h_bits(vs, pegs))
+    stage, entry = plan[i], plan[i + 1]
+    pegs = _p4(_within_h(vs, pegs, h, stage, moves), entry, moves)
+    h = stage | 1 << vs.index(entry[3])  # the peg lands on a hole of the staging
+    after_class = _CLASS[h]
     if after_class not in (HClass.A, HClass.B):
         raise InvariantViolation(
             f"absorption left H in {after_class.value}; expected class A or B"
         )
     if (pegs & ~f.h_mask).bit_count() != outside - 1:
         raise InvariantViolation("absorption did not remove exactly one outside peg")
-    return pegs
+    return pegs, h
 
 
 def shift_hole_onto_h(
@@ -472,7 +498,7 @@ def absorb_nearest_peg(
         raise PreconditionFailed("no pegs outside H")
     peg = next(v for v in f.order if outside >> (v - 1) & 1)
     moves: list[Move] = []
-    pegs = _absorb(f, c.pegs, peg, moves)
+    pegs, _ = _absorb(f, c.pegs, peg, moves)
     return Configuration(c.n, pegs), MoveSequence(c, tuple(moves))
 
 
@@ -517,13 +543,14 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     start = Configuration.with_hole(g.n, hole)
     moves: list[Move] = []
     pegs = _shift_hole(f, start.pegs, hole, moves)
+    vs = f.emb.vertices
+    h = _h_bits(vs, pegs)
     for v in f.order:
-        pegs = _absorb(f, pegs, v, moves)
+        pegs, h = _absorb(f, pegs, v, moves, h)
     if pegs & ~f.h_mask:
         raise InvariantViolation("pegs are left outside H after the absorptions")
-    vs = f.emb.vertices
-    rep = "a" if h_class_of(_h_bits(vs, pegs)) is HClass.A else "c"
-    pegs = _within_h(vs, pegs, letter_mask(rep), moves)
+    rep = "a" if _CLASS[h] is HClass.A else "c"
+    pegs = _within_h(vs, pegs, h, letter_mask(rep), moves)
     if pegs.bit_count() != 1:
         raise InvariantViolation("constructive solve did not end at one peg")
     return MoveSequence(start, tuple(moves))
@@ -619,7 +646,8 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
             pegs = _p4(pegs, label[1], moves)
         else:
             _, emb, w = label
-            pegs = _within_h(emb.vertices, pegs, _h_bits(emb.vertices, 1 << (w - 1)), moves)
+            vs = emb.vertices
+            pegs = _within_h(vs, pegs, _h_bits(vs, pegs), _h_bits(vs, 1 << (w - 1)), moves)
     if pegs != 1 << (target - 1):
         raise InvariantViolation("routing did not end on the requested target")
     return MoveSequence(seq.start, tuple(moves))

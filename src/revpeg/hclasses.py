@@ -4,9 +4,11 @@ H is the claw with one subdivided edge: letters a..e map to vertices 1..5
 with edges a-c, b-c, c-d, d-e. All 32 peg configurations on H fall into two
 14-element mutual-reachability classes (single-peg representatives: a for
 class A, c for class B) plus four frozen configurations (empty, full, abd,
-ce). Rather than hard-coding the chains, the table and all within-H routes
-come from the exact oracle's search over the 32 states; the known chains
-serve as test vectors.
+ce). The class table is closed form: a configuration is frozen when
+a = b = d and c = e, and otherwise in class A when an odd number of a, b,
+d, e hold pegs and in class B when an even number do. Only the within-H
+routes come from the exact oracle's search over the 32 states; the known
+chains serve as test vectors.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from functools import lru_cache
 
 from .errors import NotSameClass
 from .families import h_graph
-from .model import Configuration, Move
-from .oracle import equivalence_partition, shortest_route
+from .model import Move
+from .oracle import shortest_route
 
 LETTERS = "abcde"
 
@@ -43,19 +45,13 @@ class HClass(enum.Enum):
 
 @lru_cache(maxsize=1)
 def class_table() -> dict[int, HClass]:
-    part = equivalence_partition(h_graph())
-    class_a = part.block_of(Configuration(5, letter_mask("a")))
-    class_b = part.block_of(Configuration(5, letter_mask("c")))
     table = {}
     for mask in range(32):
-        if mask in class_a:
-            table[mask] = HClass.A
-        elif mask in class_b:
-            table[mask] = HClass.B
-        elif mask in (0, 31):
-            table[mask] = HClass.EMPTY_OR_FULL
+        a, b, c, d, e = (mask >> i & 1 for i in range(5))
+        if a == b == d and c == e:
+            table[mask] = HClass.EMPTY_OR_FULL if mask in (0, 31) else HClass.ISOLATED
         else:
-            table[mask] = HClass.ISOLATED
+            table[mask] = HClass.A if (a + b + d + e) % 2 else HClass.B
     return table
 
 

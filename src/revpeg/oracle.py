@@ -6,8 +6,8 @@ sets come from sweeps that apply the centres back and forth along a BFS
 order of the vertices, until every centre has been applied to the current
 set without adding a state: that set is closed under moves, so it is the
 fixpoint. Witnesses and ``min_unjumps`` come from one level search,
-breadth-first over sets: the next frontier is the image of the last one,
-less the states already seen.
+breadth-first over sets: every move changes the peg count by one, so the
+next frontier is the image of the last one less the level before it.
 
 The image rests on the "x != z" form of ``model``'s move rule. On a path
 x-y-z, the legal patterns of bits (x, y, z) are 110 and 001 (a jump and an
@@ -26,7 +26,9 @@ the same shifts to the reached set one centre at a time.
 Because every move is invertible, reachability is symmetric and reachable
 sets are exactly the equivalence classes of mutual reachability;
 classification explores each class once and reads off every one-hole start
-it contains.
+it contains. Complementing every bit maps legal moves to legal moves, so
+the complement of a class is a class too, and its row of the matrix needs
+no search of its own.
 
 Witnesses are the ones a FIFO search over single states gives when it scans
 moves in ``path_triples`` order and keeps each state's first discoverer: of
@@ -249,13 +251,12 @@ def _levels(g: Graph, start: int, targets: int) -> list[int]:
     """Breadth-first search over state sets from state `start`: the levels
     L_0 = {start}, L_1, ... up to the first that meets the set `targets`
     (all of them when no target is reachable)."""
-    levels = [1 << start]
-    seen = levels[0]
+    levels, before = [1 << start], 0
     while not levels[-1] & targets:
-        frontier = _image(levels[-1], g) & ~seen
+        frontier = _image(levels[-1], g) & ~before
         if not frontier:
             break
-        seen |= frontier
+        before = levels[-1]
         levels.append(frontier)
     return levels
 
@@ -377,7 +378,8 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
     """Verdict and full start-hole -> end-peg matrix.
 
     Each mutual-reachability class is explored once; every one-hole start
-    found inside it shares the class's single-peg set.
+    found inside it shares the class's single-peg set, and the complement
+    class swaps the two sets.
     """
     if g.n < 2:
         raise PreconditionFailed("classification needs n >= 2")
@@ -392,9 +394,12 @@ def classify(g: Graph, memory_budget: int | None = None) -> Classification:
             continue  # class containing this start was already swept
         members = _closure(g, full ^ (1 << (h - 1)))
         pegs = frozenset(v for mask, v in singles if _has(members, mask))
-        for mask, v in singles:
-            if _has(members, full ^ mask):
-                matrix[v] = pegs
+        starts = frozenset(v for mask, v in singles if _has(members, full ^ mask))
+        for v in starts:
+            matrix[v] = pegs
+        for v in pegs:
+            matrix.setdefault(v, starts)  # the complement class
+    matrix = {h: matrix[h] for h in range(1, g.n + 1)}
     full_set = frozenset(range(1, g.n + 1))
     if all(not v for v in matrix.values()):
         verdict = Verdict.NOT_SOLVABLE

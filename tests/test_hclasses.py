@@ -1,15 +1,19 @@
 import pytest
 
+import revpeg.hclasses as hclasses
+import revpeg.oracle as oracle
 from revpeg.errors import NotSameClass
 from revpeg.families import h_graph
 from revpeg.hclasses import (
     HClass,
+    class_table,
     h_class_of,
     h_route,
     letter_mask,
     mask_letters,
 )
 from revpeg.model import Configuration, MoveSequence, replay
+from revpeg.oracle import equivalence_partition
 
 CLASS_A = "a b d e ac bc cd abe ade bde abcd abce acde bcde".split()
 CLASS_B = "c ab ad ae bd be de abc acd ace bcd bce cde abde".split()
@@ -28,6 +32,45 @@ def test_class_table_matches_known_partition():
     assert h_class_of(letter_mask("ce")) is HClass.ISOLATED
     assert h_class_of(letter_mask("")) is HClass.EMPTY_OR_FULL
     assert h_class_of(letter_mask("abcde")) is HClass.EMPTY_OR_FULL
+
+
+def test_closed_form_table_is_the_oracle_partition():
+    part = equivalence_partition(h_graph())
+    block_a = part.block_of(Configuration(5, letter_mask("a")))
+    block_b = part.block_of(Configuration(5, letter_mask("c")))
+    for mask in range(32):
+        block = part.block_of(Configuration(5, mask))
+        want = (
+            HClass.A if block == block_a
+            else HClass.B if block == block_b
+            else HClass.EMPTY_OR_FULL if mask in (0, 31)
+            else HClass.ISOLATED
+        )
+        assert class_table()[mask] is want, mask_letters(mask)
+        if want in (HClass.A, HClass.B):
+            assert len(block) == 14
+        else:
+            assert block == frozenset((mask,))
+
+
+def test_class_table_makes_no_oracle_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("class_table called the oracle")
+
+    patched = [name for name, obj in vars(hclasses).items()
+               if callable(obj) and getattr(obj, "__module__", None) == oracle.__name__]
+    assert patched  # h_route still searches with the oracle
+    for name in patched:
+        monkeypatch.setattr(hclasses, name, refuse)
+    for name in ("equivalence_partition", "reachable_set", "classify", "shortest_route"):
+        monkeypatch.setattr(oracle, name, refuse)
+    class_table.cache_clear()
+    try:
+        table = class_table()
+    finally:
+        class_table.cache_clear()
+    assert sorted(table) == list(range(32))
+    assert table[letter_mask("a")] is HClass.A and table[letter_mask("c")] is HClass.B
 
 
 def test_classes_have_fourteen_members():

@@ -3,11 +3,12 @@
 The reference functions below are the earlier, separately written searches:
 the parent-pointer BFS with its rebuild, the class-sweep BFS, the 0/1-cost
 deque search of min_unjumps, the per-state move generator, the
-hand-written within-H route search and the union of set-BFS levels that
-gave reachable sets before the closure sweeps. They keep the earlier code
-apart from names, so the kernels in ``revpeg.oracle`` must reproduce their
-end sets, witnesses, unjump counts, end pegs, partitions, classifications
-and routes exactly.
+hand-written within-H route search, the union of set-BFS levels that gave
+reachable sets before the closure sweeps, and the set-BFS levels that took
+out every state seen. They keep the earlier code apart from names, so the
+kernels in ``revpeg.oracle`` must reproduce their end sets, levels,
+witnesses, unjump counts, end pegs, partitions, classifications and routes
+exactly.
 
 The one exception is the min_unjumps witness. The deque search keeps the
 first discoverer of each state in its own order, jumps pushed to the
@@ -49,6 +50,7 @@ from revpeg.oracle import (
     Verdict,
     _closure,
     _image,
+    _levels,
     _members,
     classify,
     equivalence_partition,
@@ -276,6 +278,20 @@ def ref_level_closure(g, start):
     return seen
 
 
+def ref_levels(g, start, targets):
+    """The set-BFS levels from `start` up to the first that meets
+    `targets`, each the image of the last less every state seen."""
+    levels = [1 << start]
+    seen = levels[0]
+    while not levels[-1] & targets:
+        frontier = _image(levels[-1], g) & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        levels.append(frontier)
+    return levels
+
+
 def ref_classification(g, blocks):
     """Each hole's row holds the single pegs of its start's block; the
     verdict is read off the matrix."""
@@ -358,8 +374,11 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
                     if visited[dst] else None)
             assert shortest_route(g, src, dst) == want
     full = (1 << g.n) - 1
+    singles = sum(1 << (1 << (v - 1)) for v in g.vertices())
     for hole in holes or g.vertices():
         start = full ^ (1 << (hole - 1))
+        for targets in (0, singles):
+            assert _levels(g, start, targets) == ref_levels(g, start, targets)
         visited, parent_state, parent_triple = ref_witness_bfs(g, start)
         ends = frozenset(v for v in g.vertices() if visited[1 << (v - 1)])
         res = solve_from(g, hole)

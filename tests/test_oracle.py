@@ -42,6 +42,17 @@ CLASS_B = "c ab ad ae bd be de abc acd ace bcd bce cde abde".split()
 H_SINGLETONS = ["abcde", "abd", "ce", ""]
 
 
+def test_classify_reads_complement_rows_without_a_search(monkeypatch):
+    # The class of hole 1 on path:16 holds single pegs whose complement
+    # class holds the other starts, so two closures cover all 16 rows.
+    closures = []
+    sweep = oracle._closure
+    monkeypatch.setattr(oracle, "_closure", lambda g, s: closures.append(s) or sweep(g, s))
+    cls = classify(path_graph(16))
+    assert len(closures) == 2
+    assert list(cls.matrix) == list(range(1, 17))
+
+
 def letter_set(letters: str) -> frozenset[int]:
     return frozenset("abcde".index(ch) + 1 for ch in letters)
 
