@@ -21,10 +21,10 @@ and costs O(n + moves). It runs on the int peg mask, checks each move with
 model's rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs
 pattern is that rule for both of its moves), and builds ``Configuration``
 objects only at phase boundaries; the public step functions wrap the same
-kernels. The H restriction is read once, after the hole shift, and then
-carried through the solve: an absorption lands its peg on a hole of the
-staging, so the restriction after it is the staging plus the landing
-letter. Each absorption checks it against the pegs on H once.
+kernels. An absorption reads the H restriction from the pegs once: its
+march stays outside H, and its entry macro lands the peg on a hole of the
+staging, so the class after it is that of the staging plus the landing
+letter.
 
 A witness shares its moves instead of building one per step. The two moves
 of a 4-path macro depend only on the path and on the case it plays (a peg
@@ -69,7 +69,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .families import cycle_order, is_star_shape, path_order
-from .hclasses import HClass, LETTERS, class_table, h_route, letter_mask, mask_letters
+from .hclasses import CLASS_BY_MASK, HClass, LETTERS, h_route, letter_mask
 from .invariants import classify_path, classify_cycle, doubly_free_predicate
 from .model import (
     JUMP,
@@ -130,9 +130,6 @@ def _h_bits(vs: tuple[int, ...], pegs: int) -> int:
         if pegs >> (v - 1) & 1:
             m |= 1 << i
     return m
-
-
-_CLASS = tuple(class_table()[m] for m in range(32))  # indexed by the abstract mask
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +427,12 @@ def _shift_hole(f: _Frame, pegs: int, hole: int, moves: list[Move]) -> int:
     return pegs
 
 
-def _absorb(
-    f: _Frame, pegs: int, peg: int, moves: list[Move], h: int | None = None
-) -> tuple[int, int]:
+def _absorb(f: _Frame, pegs: int, peg: int, moves: list[Move]) -> int:
     """Carry the outside peg on ``peg`` into H by its plan, keeping the H
-    restriction in class A or B; append the moves and return the new mask
-    and H restriction. ``h``, the H restriction the solve carries (read
-    from ``pegs`` when None), is checked against ``pegs``."""
+    restriction in class A or B; append the moves and return the new mask."""
     vs = f.emb.vertices
-    on_h = _h_bits(vs, pegs)
-    h = on_h if h is None else h
-    if on_h != h:
-        msg = f"tracked H restriction {mask_letters(h) or 'empty'} disagrees with the pegs on H"
-        raise InvariantViolation(msg)
-    before_class = _CLASS[h]
+    h = _h_bits(vs, pegs)
+    before_class = CLASS_BY_MASK[h]
     if before_class not in (HClass.A, HClass.B):
         raise PreconditionFailed(f"H restriction is {before_class.value}, need A or B")
     outside = (pegs & ~f.h_mask).bit_count()
@@ -458,15 +447,15 @@ def _absorb(
     i = 2 if before_class is HClass.A else 4
     stage, entry = plan[i], plan[i + 1]
     pegs = _p4(_within_h(vs, pegs, h, stage, moves), entry, moves)
-    h = stage | 1 << vs.index(entry[3])  # the peg lands on a hole of the staging
-    after_class = _CLASS[h]
+    # The entry macro lands the peg on a hole of the staging.
+    after_class = CLASS_BY_MASK[stage | 1 << vs.index(entry[3])]
     if after_class not in (HClass.A, HClass.B):
         raise InvariantViolation(
             f"absorption left H in {after_class.value}; expected class A or B"
         )
     if (pegs & ~f.h_mask).bit_count() != outside - 1:
         raise InvariantViolation("absorption did not remove exactly one outside peg")
-    return pegs, h
+    return pegs
 
 
 def shift_hole_onto_h(
@@ -498,7 +487,7 @@ def absorb_nearest_peg(
         raise PreconditionFailed("no pegs outside H")
     peg = next(v for v in f.order if outside >> (v - 1) & 1)
     moves: list[Move] = []
-    pegs, _ = _absorb(f, c.pegs, peg, moves)
+    pegs = _absorb(f, c.pegs, peg, moves)
     return Configuration(c.n, pegs), MoveSequence(c, tuple(moves))
 
 
@@ -543,13 +532,13 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     start = Configuration.with_hole(g.n, hole)
     moves: list[Move] = []
     pegs = _shift_hole(f, start.pegs, hole, moves)
-    vs = f.emb.vertices
-    h = _h_bits(vs, pegs)
     for v in f.order:
-        pegs, h = _absorb(f, pegs, v, moves, h)
+        pegs = _absorb(f, pegs, v, moves)
     if pegs & ~f.h_mask:
         raise InvariantViolation("pegs are left outside H after the absorptions")
-    rep = "a" if _CLASS[h] is HClass.A else "c"
+    vs = f.emb.vertices
+    h = _h_bits(vs, pegs)
+    rep = "a" if CLASS_BY_MASK[h] is HClass.A else "c"
     pegs = _within_h(vs, pegs, h, letter_mask(rep), moves)
     if pegs.bit_count() != 1:
         raise InvariantViolation("constructive solve did not end at one peg")

@@ -43,20 +43,22 @@ class HClass(enum.Enum):
     EMPTY_OR_FULL = "Empty-or-Full"
 
 
-@lru_cache(maxsize=1)
+def _closed_class(mask: int) -> HClass:
+    a, b, c, d, e = (mask >> i & 1 for i in range(5))
+    if a == b == d and c == e:
+        return HClass.EMPTY_OR_FULL if mask in (0, 31) else HClass.ISOLATED
+    return HClass.A if (a + b + d + e) % 2 else HClass.B
+
+
+CLASS_BY_MASK = tuple(_closed_class(m) for m in range(32))  # indexed by the abstract mask
+
+
 def class_table() -> dict[int, HClass]:
-    table = {}
-    for mask in range(32):
-        a, b, c, d, e = (mask >> i & 1 for i in range(5))
-        if a == b == d and c == e:
-            table[mask] = HClass.EMPTY_OR_FULL if mask in (0, 31) else HClass.ISOLATED
-        else:
-            table[mask] = HClass.A if (a + b + d + e) % 2 else HClass.B
-    return table
+    return dict(enumerate(CLASS_BY_MASK))
 
 
 def h_class_of(mask: int) -> HClass:
-    return class_table()[mask]
+    return CLASS_BY_MASK[mask]
 
 
 @lru_cache(maxsize=1024)
