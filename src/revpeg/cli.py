@@ -305,6 +305,8 @@ def cmd_table(args, report: dict) -> int:
 
 
 def cmd_census(args, report: dict) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be at least 0, got {args.samples}")
     # Refuse before enumerating anything: n = 8 has 2^28 edge subsets, and
     # every censused graph goes through the exact oracle.
     if args.max_n >= 8:

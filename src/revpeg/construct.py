@@ -211,6 +211,8 @@ def p4_move(
     ahead: jump into the hole, then unjump to push the hole to the far end.
     Vertices off the path are untouched.
     """
+    if len(path) != 4:
+        raise PatternMismatch(f"path {path} has {len(path)} vertices, not 4")
     v0, v1, v2, v3 = path
     if len({v0, v1, v2, v3}) != 4:
         raise PatternMismatch(f"path {path} repeats a vertex")

@@ -18,10 +18,9 @@ both adds a constant, +-(2^(z-1) - 2^(x-1)), so the states of a set F with
 x = 1, z = 0 move together by one shift of F's int, and those with x = 0,
 z = 1 by the opposite shift. Flipping bit y afterwards is one more pair of
 shifts, applied once per centre y to the union over its neighbour pairs:
-the states with a peg on y make a jump, the others an unjump. The pieces
-are cut with the per-bit masks M_b, the set of states whose bit b is set;
-``_image`` gives every level of a level search, and ``_closure`` applies
-the same shifts to the reached set one centre at a time.
+the states with a peg on y make a jump, the others an unjump. One kernel,
+``_flips``, makes a centre's pair shifts for ``_image`` and ``_closure``,
+cut with the per-bit masks M_b: the states whose bit b is set.
 
 Because every move is invertible, reachability is symmetric and reachable
 sets are exactly the equivalence classes of mutual reachability;
@@ -128,6 +127,8 @@ class EquivalencePartition:
     blocks: tuple[frozenset[int], ...]
 
     def block_of(self, c: Configuration) -> frozenset[int]:
+        if c.n != self.n:
+            raise PreconditionFailed("configuration and graph sizes differ")
         for b in self.blocks:
             if c.pegs in b:
                 return b
@@ -195,16 +196,25 @@ def _centres(g: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]
     return tuple(out)
 
 
+def _flips(states: int, masks: tuple[int, ...], pairs) -> int:
+    """The states of `states` with a legal move along one of a centre's
+    neighbour pairs x-z, with bits x and z flipped: those whose bits x and
+    z differ, x = 1 moved up by the pair's shift and z = 1 moved down. The
+    one pair loop of the oracle; the caller flips the centre's bit."""
+    flipped = 0
+    for x, z, shift in pairs:
+        movable = states & (masks[x] ^ masks[z])
+        x_on = movable & masks[x]
+        flipped |= x_on << shift | (movable ^ x_on) >> shift
+    return flipped
+
+
 def _image(states: int, g: Graph) -> int:
     """The states one legal move away from some state in `states`."""
     masks = _bit_masks(g.n)
-    on = [states & m for m in masks]  # on[b]: the states with bit b set
     image = 0
     for y, y_shift, pairs in _centres(g):
-        flipped = 0  # the movable states with bits x and z flipped
-        for x, z, shift in pairs:
-            both = on[x] & masks[z]
-            flipped |= (on[x] ^ both) << shift | (on[z] ^ both) >> shift
+        flipped = _flips(states, masks, pairs)
         up = flipped & masks[y]  # a peg on y: the move is a jump
         image |= up >> y_shift | (flipped ^ up) << y_shift
     return image
@@ -222,8 +232,8 @@ def _members(states: int) -> list[int]:
 
 def _closure(g: Graph, start: int) -> int:
     """The states reachable from state `start`. Each centre adds at once
-    every state one move around it from the set reached so far, by the
-    shifts of ``_image``, so every state added is reachable. The centres go
+    every state one move around it from the set reached so far (``_flips``
+    and a flip of its bit), so every state added is reachable. The centres go
     back and forth along their BFS order, which carries what one adds on to
     its neighbours both ways in a pass, and stop once each has been applied
     to the current set without adding a state: that set is closed under
@@ -233,11 +243,7 @@ def _closure(g: Graph, start: int) -> int:
     every = sum(y_shift for _, y_shift, _ in centres)  # the centres' vertex bits
     seen, quiet = 1 << start, 0  # quiet: those of centres that added nothing to seen
     for y, y_shift, pairs in cycle(centres + centres[-2:0:-1]):  # c_0 .. c_(k-1) .. c_1
-        flipped = 0  # the movable states with bits x and z flipped
-        for x, z, shift in pairs:
-            movable = seen & (masks[x] ^ masks[z])
-            x_on = movable & masks[x]
-            flipped |= x_on << shift | (movable ^ x_on) >> shift
+        flipped = _flips(seen, masks, pairs)
         up = flipped & masks[y]  # a peg on y: the move is a jump
         grown = seen | up >> y_shift | (flipped ^ up) << y_shift
         quiet = quiet | y_shift if grown == seen else 0

@@ -444,6 +444,21 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "cycle:6"],
+        ["solve", "doublestar:2,2", "--hole", "1", "--method", "oracle"],
+        ["census", "--max-n", "3"],
+    ], ids=["classify", "solve", "census"])
+    def test_timing_adds_only_timing_ms(self, capsys, argv):
+        code, plain = run_cli(capsys, *argv)
+        assert "timing_ms" not in plain
+        # the flag is global, so it may come before or after the command
+        for timed_argv in (["--timing", *argv], [*argv, "--timing"]):
+            timed_code, timed = run_cli(capsys, *timed_argv)
+            assert timed_code == code
+            assert isinstance(timed.pop("timing_ms"), float)
+            assert timed == plain
+
     def test_text_format_renders(self, capsys):
         code = main(["--format", "text", "classify", "path:4"])
         out = capsys.readouterr().out
@@ -510,6 +525,12 @@ class TestBadInputs:
     def test_zero_threads(self, capsys):
         assert main(["--threads", "0", "census", "--max-n", "2"]) == 1
         assert "--threads" in capsys.readouterr().err
+
+    def test_negative_samples(self, capsys):
+        assert main(["census", "--max-n", "3", "--samples", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
 
 
 def test_census_workers_capped_by_cores_and_tasks(capsys, monkeypatch):

@@ -71,6 +71,12 @@ class TestP4Move:
         with pytest.raises(PatternMismatch):
             p4_move(g, Configuration.from_vertices(5, [2]), (2, 3, 4, 5))
 
+    @pytest.mark.parametrize("path", [(1, 2, 3), (1, 2, 3, 4, 5)], ids=["3", "5"])
+    def test_path_of_wrong_length_rejected(self, path):
+        g = path_graph(5)
+        with pytest.raises(PatternMismatch, match=f"has {len(path)} vertices, not 4"):
+            p4_move(g, Configuration.from_vertices(5, [1]), path)
+
     def test_moves_replay(self):
         g = path_graph(7)
         c = Configuration.from_vertices(7, [3, 5, 6, 7])

@@ -4,11 +4,14 @@ The reference functions below are the earlier, separately written searches:
 the parent-pointer BFS with its rebuild, the class-sweep BFS, the 0/1-cost
 deque search of min_unjumps, the per-state move generator, the
 hand-written within-H route search, the union of set-BFS levels that gave
-reachable sets before the closure sweeps, and the set-BFS levels that took
-out every state seen. They keep the earlier code apart from names, so the
-kernels in ``revpeg.oracle`` must reproduce their end sets, levels,
+reachable sets before the closure sweeps, the set-BFS levels that took
+out every state seen, and the image of a state set from per-bit slices
+that ``_image`` used before it shared ``_flips`` with ``_closure``. They
+keep the earlier code apart from names, so the kernels in
+``revpeg.oracle`` must reproduce their images, end sets, levels,
 witnesses, unjump counts, end pegs, partitions, classifications and routes
-exactly.
+exactly. The level references use ``ref_image``, so the closure is never
+checked against the kernel it runs on.
 
 The one exception is the min_unjumps witness. The deque search keeps the
 first discoverer of each state in its own order, jumps pushed to the
@@ -20,7 +23,8 @@ through distance d - 1), and the oracle must reproduce it exactly; the
 deque still fixes the count and the end peg.
 
 ``PYTHONPATH=src python tests/test_kernel_differential.py N`` runs the
-check over every labeled connected graph on N vertices.
+check, the image check on seeded state sets included, over every labeled
+connected graph on N vertices.
 """
 
 import random
@@ -48,6 +52,8 @@ from revpeg.model import (
 from revpeg.oracle import (
     Classification,
     Verdict,
+    _bit_masks,
+    _centres,
     _closure,
     _image,
     _levels,
@@ -265,12 +271,28 @@ def ref_unjump_witness(g, hole):
     return MoveSequence(Configuration(g.n, start), tuple(chain))
 
 
+def ref_image(states, g):
+    """The states one legal move away from some state in `states`, from the
+    per-bit slices on[b] of the set."""
+    masks = _bit_masks(g.n)
+    on = [states & m for m in masks]  # on[b]: the states with bit b set
+    image = 0
+    for y, y_shift, pairs in _centres(g):
+        flipped = 0  # the movable states with bits x and z flipped
+        for x, z, shift in pairs:
+            both = on[x] & masks[z]
+            flipped |= (on[x] ^ both) << shift | (on[z] ^ both) >> shift
+        up = flipped & masks[y]  # a peg on y: the move is a jump
+        image |= up >> y_shift | (flipped ^ up) << y_shift
+    return image
+
+
 def ref_level_closure(g, start):
     """The states reachable from `start`: the union of the set-BFS levels."""
     levels = [1 << start]
     seen = levels[0]
     while True:
-        frontier = _image(levels[-1], g) & ~seen
+        frontier = ref_image(levels[-1], g) & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -284,7 +306,7 @@ def ref_levels(g, start, targets):
     levels = [1 << start]
     seen = levels[0]
     while not levels[-1] & targets:
-        frontier = _image(levels[-1], g) & ~seen
+        frontier = ref_image(levels[-1], g) & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -488,6 +510,37 @@ def test_closure_without_centres_or_connectivity(g):
             Configuration(g.n, t) for t in _members(ref_level_closure(g, s)))
 
 
+def assert_image_agrees(g, rng, draws=8):
+    """``_image`` against ``ref_image`` on the empty set, every state, one
+    state and seeded random sets of states."""
+    every = (1 << (1 << g.n)) - 1
+    sets = [0, every, 1 << rng.randrange(1 << g.n)]
+    sets += [rng.getrandbits(1 << g.n) for _ in range(draws)]
+    for states in sets:
+        assert _image(states, g) == ref_image(states, g), (g.sorted_edges(), states)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_image_all_labeled_graphs(n):
+    rng = random.Random(2200 + n)
+    for g in labeled_connected_graphs(n):
+        assert_image_agrees(g, rng)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_image_complete_graphs(n):
+    # every centre of K_n has C(n - 1, 2) neighbour pairs
+    g = Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+    assert_image_agrees(g, random.Random(2300 + n))
+
+
+def test_image_seeded_graphs():
+    rng = random.Random(2400)
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randint(6, 14), extra=rng.randint(0, 8))
+        assert_image_agrees(g, rng, draws=3)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_all_labeled_graphs(n):
     for g in labeled_connected_graphs(n):
@@ -515,7 +568,9 @@ def test_seeded_larger(n):
 if __name__ == "__main__":
     n = int(sys.argv[1])
     count = 0
+    image_rng = random.Random(2200 + n)
     for graph in labeled_connected_graphs(n):
+        assert_image_agrees(graph, image_rng)
         assert_closure_agrees(graph, one_hole_starts(graph))
         assert_kernels_agree(graph)
         count += 1

@@ -256,6 +256,14 @@ class TestEquivalencePartition:
         block = part.block_of(c)
         assert block == frozenset(x.pegs for x in reachable_set(g, c))
 
+    def test_block_of_refuses_another_size(self):
+        # mask 5 is a state on 5 vertices too, in path:5's block {5, 23, 25, 30}
+        part = equivalence_partition(path_graph(5))
+        assert part.block_of(Configuration(5, 5)) == frozenset({5, 23, 25, 30})
+        for n in (3, 6):
+            with pytest.raises(PreconditionFailed, match="configuration and graph sizes differ"):
+                part.block_of(Configuration(n, 5))
+
 
 class TestSolveFrom:
     def test_star_has_no_solution(self):
