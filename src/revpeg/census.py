@@ -16,7 +16,7 @@ import random
 # call census.line_solver_witness.
 from .construct import _solve_line, line_solver_witness, solve_constructive
 from .errors import PreconditionFailed, SolitaireError
-from .families import is_star_shape
+from .families import graph_shape
 from .graphio import serialize_graph
 from .invariants import PathCycleVerdict, closed_form, star_certificate
 from .model import Graph, is_connected, replay
@@ -59,7 +59,7 @@ def sample_solver_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
         for e in non_edges[: rng.randint(1, 3)]:
             edges.add(e)
         g = Graph(n, sorted(edges))
-        if g.max_degree() >= 3 and not is_star_shape(g):
+        if graph_shape(g)[0] == "solver":
             return g
 
 

@@ -34,7 +34,7 @@ from .errors import (
     SolitaireError,
     ValidationError,
 )
-from .families import cycle_graph, is_star_shape, path_graph
+from .families import cycle_graph, graph_shape, path_graph
 from .graphio import (
     classification_to_json,
     family_graph,
@@ -192,7 +192,7 @@ def cmd_solve(args, report: dict) -> int:
         report["input"]["target"] = args.target
     results: dict = {}
     report["results"] = results
-    seq = None
+    seq = solved = None  # solved: the oracle's solve, reused by --cross-check
     if args.method != "constructive":
         report["memory"] = {
             "budget": args.memory_budget,
@@ -206,10 +206,10 @@ def cmd_solve(args, report: dict) -> int:
         raise PreconditionFailed(f"target {args.target} outside 1..{g.n}")
     if args.method == "oracle":
         if args.target is None:
-            res = solve_from(g, args.hole, args.memory_budget)
-            if res is not None:
-                seq = res.witness
-                results["end_pegs"] = sorted(res.end_pegs)
+            solved = solve_from(g, args.hole, args.memory_budget)
+            if solved is not None:
+                seq = solved.witness
+                results["end_pegs"] = sorted(solved.end_pegs)
         else:
             seq = witness_to(g, args.hole, args.target, args.memory_budget)
     elif args.method == "min-unjumps":
@@ -219,7 +219,7 @@ def cmd_solve(args, report: dict) -> int:
             results["min_unjumps"] = res.count
     else:  # constructive
         try:
-            if g.n >= 4 and is_star_shape(g):
+            if graph_shape(g)[0] == "star":
                 results["reason"] = "stars are not solvable"
             elif args.target is not None:
                 if g.max_degree() < 3:
@@ -243,7 +243,7 @@ def cmd_solve(args, report: dict) -> int:
         results.update(_witness_payload(g, seq, args.trace))
         results["witness"] = witness_to_json(seq)
     if seq is not None and args.cross_check:
-        res = solve_from(g, args.hole, args.memory_budget)
+        res = solved or solve_from(g, args.hole, args.memory_budget)
         ok = res is not None and results["final_pegs"][0] in res.end_pegs
         report["cross_checks"] = [{"kind": "oracle-replay", "match": ok}]
         if not ok:

@@ -46,7 +46,7 @@ to each other: the BFS takes the first discoverer as parent, so a later hop
 never enters a witness.
 
 Paths and cycles have no degree-3 vertex and share one line kernel on the
-vertex order (``path_order``/``cycle_order``, or 1..n for ``solve_path``
+vertex order (``graph_shape``'s line order, or 1..n for ``solve_path``
 and ``solve_cycle``): a path in the other admissible residue class is read
 backwards and a cycle is read from the vertex that puts the hole on the
 entry position, then 4-path macros shift the hole and the classical
@@ -68,7 +68,7 @@ from .errors import (
     PatternMismatch,
     PreconditionFailed,
 )
-from .families import cycle_order, is_star_shape, path_order
+from .families import graph_shape, is_star_shape
 from .hclasses import CLASS_BY_MASK, HClass, LETTERS, h_route, letter_mask
 from .invariants import classify_path, classify_cycle, doubly_free_predicate
 from .model import (
@@ -211,6 +211,8 @@ def p4_move(
     ahead: jump into the hole, then unjump to push the hole to the far end.
     Vertices off the path are untouched.
     """
+    if c.n != g.n:
+        raise PreconditionFailed("configuration and graph sizes differ")
     if len(path) != 4:
         raise PatternMismatch(f"path {path} has {len(path)} vertices, not 4")
     v0, v1, v2, v3 = path
@@ -464,6 +466,8 @@ def shift_hole_onto_h(
     t: WorkingTree, emb: HEmbedding, c: Configuration
 ) -> tuple[Configuration, MoveSequence]:
     """Walk the unique hole of an all-pegs-but-one configuration onto H."""
+    if c.n != t.tree.n:
+        raise PreconditionFailed("configuration and graph sizes differ")
     holes = ((1 << c.n) - 1) ^ c.pegs
     if not holes or holes & (holes - 1):
         raise PreconditionFailed("expected exactly one hole")
@@ -483,6 +487,8 @@ def absorb_nearest_peg(
     class per the attachment vertex and distance, and one final macro
     carries the peg in.
     """
+    if c.n != t.tree.n:
+        raise PreconditionFailed("configuration and graph sizes differ")
     f = _build_frame(t, emb)
     outside = c.pegs & ~f.h_mask
     if not outside:
@@ -516,18 +522,17 @@ def _solve_paw_four(g: Graph, hole: int) -> MoveSequence:
 
 def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     """Replay-valid sequence from all-pegs-except-hole down to a single peg,
-    for any connected non-star graph with a vertex of degree >= 3. A
-    disconnected graph is refused by the working-tree construction."""
+    for any connected non-star graph with a vertex of degree >= 3; every
+    other ``graph_shape`` is refused."""
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
-    if is_star_shape(g) and g.n >= 4:
+    shape = graph_shape(g)[0]
+    if shape == "star":
         raise PreconditionFailed("stars are not solvable")
-    if g.max_degree() < 3:
-        raise PreconditionFailed(
-            "no vertex of degree >= 3; use the path/cycle routines"
-            if is_connected(g)
-            else "graph must be connected"
-        )
+    if shape is None:
+        raise PreconditionFailed("graph must be connected")
+    if shape != "solver":
+        raise PreconditionFailed("no vertex of degree >= 3; use the path/cycle routines")
     if g.n == 4:
         return _solve_paw_four(g, hole)
     f = _frame(g)
@@ -722,11 +727,9 @@ def solve_cycle(n: int, hole: int) -> MoveSequence:
 def line_solver_witness(g: Graph, hole: int) -> MoveSequence | None:
     """Constructive witness for a path- or cycle-shaped graph under any
     labeling, or None if this shape has no routine."""
-    shape, order = "path", path_order(g)
-    if order is None:
-        shape, order = "cycle", cycle_order(g)
-        if order is None:
-            return None
+    shape, order = graph_shape(g)
+    if shape not in ("path", "cycle"):
+        return None
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     return _solve_line(shape, order, hole)

@@ -91,3 +91,17 @@ def cycle_order(g: Graph) -> list[int] | None:
             return None
         order.append(nxt[0])
     return order
+
+
+def graph_shape(g: Graph) -> tuple[str | None, list[int]]:
+    """The paper's case split: ("path" or "cycle", line order), ("star" for
+    K_{1,n-1} with n >= 4 or "solver", 1..n) for a connected graph with a
+    degree-3 vertex, and (None, 1..n) for a disconnected graph."""
+    if g.max_degree() >= 3:
+        shape = ("star" if is_star_shape(g) else "solver") if is_connected(g) else None
+        return shape, list(g.vertices())
+    order = path_order(g)
+    if order is not None:
+        return "path", order
+    order = cycle_order(g)
+    return ("cycle", order) if order is not None else (None, list(g.vertices()))

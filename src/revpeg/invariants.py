@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, IllDefined, PreconditionFailed
-from .families import cycle_order, is_star_shape, path_order, star_graph
-from .model import Configuration, Graph, bfs, is_connected, path_triples
+from .families import graph_shape, star_graph
+from .model import Configuration, Graph, bfs, path_triples
 from .oracle import Verdict
 from .quaternion import I, J, K, Quaternion, q_product
 
@@ -93,6 +93,8 @@ class StarCertificate:
             raise PreconditionFailed("the star certificate applies for n >= 4")
 
     def leaf_peg_count(self, c: Configuration) -> int:
+        if c.n != self.n:
+            raise PreconditionFailed(f"configuration is on {c.n} vertices, expected {self.n}")
         return c.peg_count() - (1 if c.has_peg(1) else 0)
 
     def verify(self) -> StarCertificateReport:
@@ -143,6 +145,9 @@ class BinaryWeighting:
     weight: dict[int, int]
 
     def total(self, c: Configuration) -> int:
+        n = len(self.weight)
+        if c.n != n:
+            raise PreconditionFailed(f"configuration is on {c.n} vertices, expected {n}")
         return sum(self.weight[v] for v in c.peg_vertices()) % 2
 
     def to_json(self) -> dict:
@@ -225,12 +230,13 @@ def doubly_free_predicate(g: Graph) -> bool:
     the BFS weighting from the smallest degree-3 vertex has a conflict
     (see ``_mod3_weights``), so the test takes linear time.
     """
-    if not is_connected(g):
+    shape = graph_shape(g)[0]
+    if shape is None:
         raise PreconditionFailed("predicate requires a connected graph")
-    if g.max_degree() < 3:
-        raise PreconditionFailed("predicate requires a vertex of degree >= 3")
-    if is_star_shape(g):
+    if shape == "star":
         raise PreconditionFailed("predicate does not apply to stars")
+    if shape != "solver":
+        raise PreconditionFailed("predicate requires a vertex of degree >= 3")
     base = next(v for v in g.vertices() if g.degree(v) >= 3)
     return _weight_conflict(g, _mod3_weights(g, base)) is not None
 
@@ -318,17 +324,15 @@ def closed_form(g: Graph) -> tuple[str, list[int], PathCycleVerdict]:
     hole h the end pegs are {p : w(p) = W - w(h) mod 2}, W the weight of all
     vertices, and the paper's construction reaches each of them.
     """
-    if not is_connected(g):
+    shape, labels = graph_shape(g)
+    if shape is None:
         raise DisconnectedGraph("classify requires a connected graph")
-    order = path_order(g)
-    if order is not None:
-        return "path", order, classify_path(g.n)
-    order = cycle_order(g)
-    if order is not None:
-        return "cycle", order, classify_cycle(g.n)
-    labels = list(g.vertices())
-    if is_star_shape(g):
-        return "star", labels, PathCycleVerdict(False, frozenset(), {}, Verdict.NOT_SOLVABLE)
+    if shape == "path":
+        return shape, labels, classify_path(g.n)
+    if shape == "cycle":
+        return shape, labels, classify_cycle(g.n)
+    if shape == "star":
+        return shape, labels, PathCycleVerdict(False, frozenset(), {}, Verdict.NOT_SOLVABLE)
     weight = _mod3_weights(g, next(v for v in labels if g.degree(v) >= 3))
     everything = frozenset(labels)
     if _weight_conflict(g, weight) is not None:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from revpeg.cli import main
 from revpeg.graphio import witness_to_json
 from revpeg.model import Configuration, MoveSequence, jump
 
+DATA = Path(__file__).parent / "data"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -93,6 +95,17 @@ class TestClassify:
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["classify", "no-such-file.txt"]) == 1
+
+    @pytest.mark.parametrize("argv", [["classify", "-"], ["solve", "-", "--hole", "2"]],
+                             ids=["classify", "solve"])
+    def test_dash_reads_the_edge_list_from_stdin(self, capsys, monkeypatch, argv):
+        graph = DATA / "graph.txt"
+        code, from_file = run_cli(capsys, *[str(graph) if a == "-" else a for a in argv])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(graph.read_text()))
+        stdin_code, from_stdin = run_cli(capsys, *argv)
+        assert from_file["input"].pop("spec") == str(graph)
+        assert from_stdin["input"].pop("spec") == "-"
+        assert (stdin_code, from_stdin) == (code, from_file)
 
 
 class TestSolve:
@@ -191,6 +204,21 @@ class TestSolve:
         assert code == 0
         assert rep["results"]["final_pegs"] == [6]
         assert all(c["match"] for c in rep["cross_checks"])
+
+    @pytest.mark.parametrize("method", ["oracle", "constructive"])
+    def test_cross_check_solves_from_the_hole_once(self, capsys, monkeypatch, method):
+        import revpeg.cli as cli_mod
+
+        calls = []
+        real = cli_mod.solve_from
+        monkeypatch.setattr(cli_mod, "solve_from", lambda *a: calls.append(a) or real(*a))
+        code, rep = run_cli(
+            capsys, "solve", str(DATA / "graph.txt"), "--hole", "5",
+            "--method", method, "--cross-check",
+        )
+        assert code == 0
+        assert rep["cross_checks"] == [{"kind": "oracle-replay", "match": True}]
+        assert len(calls) == 1
 
     def test_trace_lengths(self, capsys):
         code, rep = run_cli(
@@ -577,3 +605,13 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+def test_python_m_revpeg_matches_main(capsys):
+    code = main(["classify", "path:6"])
+    want = capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "revpeg", "classify", "path:6"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (code, want)

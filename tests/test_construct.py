@@ -77,6 +77,10 @@ class TestP4Move:
         with pytest.raises(PatternMismatch, match=f"has {len(path)} vertices, not 4"):
             p4_move(g, Configuration.from_vertices(5, [1]), path)
 
+    def test_configuration_of_another_size_rejected(self):
+        with pytest.raises(PreconditionFailed, match="configuration and graph sizes differ"):
+            p4_move(path_graph(4), Configuration(9, 1), (1, 2, 3, 4))
+
     def test_moves_replay(self):
         g = path_graph(7)
         c = Configuration.from_vertices(7, [3, 5, 6, 7])
@@ -235,6 +239,22 @@ def tail_graph(attach_vertex: int, length: int) -> Graph:
         edges.append((prev, 6 + i))
         prev = 6 + i
     return Graph(5 + length, edges)
+
+
+@pytest.mark.parametrize(
+    "step, c",
+    [
+        (shift_hole_onto_h, Configuration.with_hole(9, 9)),
+        (shift_hole_onto_h, Configuration.with_hole(5, 1)),
+        (absorb_nearest_peg, Configuration(9, 1 << 8)),
+        (absorb_nearest_peg, Configuration.with_hole(5, 1)),
+    ],
+    ids=["shift-9", "shift-5", "absorb-9", "absorb-5"],
+)
+def test_steps_refuse_a_configuration_of_another_size(step, c):
+    t = WorkingTree(tail_graph(4, 2), 3)
+    with pytest.raises(PreconditionFailed, match="configuration and graph sizes differ"):
+        step(t, find_h_embedding(t), c)
 
 
 class TestAbsorbStaging:

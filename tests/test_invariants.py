@@ -187,6 +187,10 @@ class TestStarCertificate:
         assert report.single_peg_leaf_counts == frozenset({0, 1})
         assert report.proves_not_solvable
 
+    def test_leaf_count_refuses_a_configuration_of_another_size(self):
+        with pytest.raises(PreconditionFailed, match="configuration is on 9 vertices, expected 5"):
+            star_certificate(5).leaf_peg_count(Configuration(9, 511))
+
     def test_agrees_with_oracle(self):
         for n in range(4, 9):
             assert star_certificate(n).verify().proves_not_solvable
@@ -213,6 +217,14 @@ class TestBinaryWeighting:
         w = binary_weighting(h_graph(), 3)
         assert total_binary_weight(w, Configuration.from_vertices(5, [1, 2])) == 0
         assert total_binary_weight(w, Configuration.from_vertices(5, [1, 3])) == 1
+
+    @pytest.mark.parametrize("c", [Configuration(2, 3), Configuration(9, 511)], ids=["2", "9"])
+    def test_total_refuses_a_configuration_of_another_size(self, c):
+        w = binary_weighting(Graph(6, list(h_graph().edges) + [(5, 6)]), 3)
+        with pytest.raises(PreconditionFailed, match=f"is on {c.n} vertices, expected 6"):
+            total_binary_weight(w, c)
+        with pytest.raises(PreconditionFailed, match=f"is on {c.n} vertices, expected 6"):
+            w.total(c)
 
     def test_preserved_by_moves_when_defined(self):
         rng = random.Random(33)
