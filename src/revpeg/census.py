@@ -14,7 +14,7 @@ import random
 
 # line_solver_witness stays importable from here: tests and the benchmark
 # call census.line_solver_witness.
-from .construct import _solve_line, line_solver_witness, solve_constructive
+from .construct import line_solver_witness, solve_constructive
 from .errors import PreconditionFailed, SolitaireError
 from .families import graph_shape
 from .graphio import serialize_graph
@@ -93,8 +93,8 @@ def closed_form_mismatches(
 
 def check_graph(g: Graph) -> dict:
     """One census record: shape, verdict, and any trichotomy violations.
-    A path or cycle is solved by the line kernel on the line order that
-    ``closed_form`` found, so the order is worked out once per graph."""
+    ``graph_shape`` keeps the shape ``closed_form`` decided, so the
+    constructive solves reuse its line order instead of finding it again."""
     cls = classify(g)
     shape, order, closed = closed_form(g)
     failures = closed_form_mismatches(cls, order, closed)
@@ -105,11 +105,7 @@ def check_graph(g: Graph) -> dict:
         if not ends:
             continue
         try:
-            if shape in ("path", "cycle"):
-                seq = _solve_line(shape, order, hole)
-            else:
-                seq = solve_constructive(g, hole)
-            end = replay(g, seq)
+            end = replay(g, solve_constructive(g, hole))
         except SolitaireError as exc:
             failures.append(f"constructive solve failed from hole {hole}: {exc}")
             continue

@@ -19,11 +19,7 @@ import sys
 import time
 
 from . import census as census_mod
-from .construct import (
-    line_solver_witness,
-    solve_constructive,
-    solve_constructive_to,
-)
+from .construct import solve_constructive, solve_constructive_to
 from .errors import (
     CapacityExceeded,
     IllegalMoveAt,
@@ -222,16 +218,9 @@ def cmd_solve(args, report: dict) -> int:
             if graph_shape(g)[0] == "star":
                 results["reason"] = "stars are not solvable"
             elif args.target is not None:
-                if g.max_degree() < 3:
-                    raise UsageError(
-                        "--target with --method constructive needs a vertex of "
-                        "degree >= 3; use --method oracle"
-                    )
                 seq = solve_constructive_to(g, args.hole, args.target)
             else:
-                seq = line_solver_witness(g, args.hole)
-                if seq is None:
-                    seq = solve_constructive(g, args.hole)
+                seq = solve_constructive(g, args.hole)
         except NotSolvableStart as exc:
             results["reason"] = str(exc)
         except NotDoublyFree as exc:
@@ -270,10 +259,12 @@ def cmd_verify(args, report: dict) -> int:
 
 
 def cmd_table(args, report: dict) -> int:
+    lo = 2 if args.family == "path" else 3
+    if args.max_n < lo:
+        raise UsageError(f"--max-n must be at least {lo} for {args.family}s, got {args.max_n}")
     if args.max_n > TABLE_MAX_N:
         raise CapacityExceeded(f"table rows list up to n^2 end pegs, so the report grows as "
                                f"n^3; use --max-n <= {TABLE_MAX_N}, got {args.max_n}")
-    lo = 2 if args.family == "path" else 3
     # `top` is the largest row the oracle would classify. Past n = 20 (about
     # a second) refuse up front: each row costs about 2.5x the one before.
     top = max((n for n in range(lo, min(args.max_n, CAPACITY) + 1)
@@ -307,6 +298,8 @@ def cmd_table(args, report: dict) -> int:
 def cmd_census(args, report: dict) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be at least 0, got {args.samples}")
+    if args.max_n < 2 and not args.samples:
+        raise UsageError(f"--max-n must be at least 2 without --samples, got {args.max_n}")
     # Refuse before enumerating anything: n = 8 has 2^28 edge subsets, and
     # every censused graph goes through the exact oracle.
     if args.max_n >= 8:

@@ -1,13 +1,16 @@
 """Constructive solvers: explicit move sequences without exhaustive search.
 
-The general routine works on a spanning tree containing a degree-3 vertex,
-fixes an embedded copy of H there, shifts the start hole onto H, then
-absorbs the outside pegs, closest to H first, while keeping the H
-restriction inside class A or B. Every absorption picks a staging
-configuration (equivalent within the current class) chosen by which H
-vertex the peg approaches and at what distance, then carries the peg in
-with a single 4-path macro. When no outside pegs remain, a last within-H
-walk parks the final peg on the class representative.
+``solve_constructive`` takes every connected non-star graph: by
+``graph_shape``, a path or cycle goes to the line kernel (below) and every
+other graph to the general routine. That routine works on a spanning tree
+containing a degree-3 vertex, fixes an embedded copy of H there, shifts
+the start hole onto H, then absorbs the outside pegs, closest to H first,
+while keeping the H restriction inside class A or B. Every absorption
+picks a staging configuration (equivalent within the current class)
+chosen by which H vertex the peg approaches and at what distance, then
+carries the peg in with a single 4-path macro. When no outside pegs
+remain, a last within-H walk parks the final peg on the class
+representative.
 
 The working tree, the embedding, the BFS from H, the absorption order and
 each vertex's absorption plan (the 4-paths and staging that carry its peg
@@ -40,10 +43,10 @@ graph hold 14.8 bytes per move, against 115.6 when every move was built
 (``tests/test_witness_memory.py``), and one 5.85M-move witness of a thin
 graph with n = 10^4 held 8.4, measured with ``CAPACITY`` raised.
 
-On a doubly free graph ``solve_constructive_to`` routes the last peg by a
-BFS over ``_lone_peg_hops``, which keeps only the first hop from each vertex
-to each other: the BFS takes the first discoverer as parent, so a later hop
-never enters a witness.
+On a doubly free graph, a path or a cycle, ``solve_constructive_to`` routes
+the last peg by a BFS over ``_lone_peg_hops``, which keeps only the first
+hop from each vertex to each other: the BFS takes the first discoverer as
+parent, so a later hop never enters a witness.
 
 Paths and cycles have no degree-3 vertex and share one line kernel on the
 vertex order (``graph_shape``'s line order, or 1..n for ``solve_path``
@@ -80,7 +83,6 @@ from .model import (
     MoveSequence,
     _pattern_ok,
     bfs,
-    is_connected,
 )
 from .oracle import solve_from
 
@@ -108,10 +110,7 @@ class HEmbedding:
         return getattr(self, letter)
 
     def letter(self, v: int) -> str:
-        for ch in LETTERS:
-            if getattr(self, ch) == v:
-                return ch
-        raise ValueError(f"vertex {v} is not part of the embedding")
+        return LETTERS[self.vertices.index(v)]
 
     @property
     def vertices(self) -> tuple[int, int, int, int, int]:
@@ -232,16 +231,14 @@ def p4_move(
 
 
 def find_spanning_tree(g: Graph) -> WorkingTree:
-    """BFS tree from the smallest degree-3 vertex; if that tree degenerates
-    to a star, swap one center-leaf edge for a leaf-leaf edge of g."""
-    if not is_connected(g):
-        raise PreconditionFailed("graph must be connected")
+    """BFS tree from the smallest degree-3 vertex of a solver graph with
+    n >= 5; if that tree degenerates to a star, swap one center-leaf edge
+    for a leaf-leaf edge of g."""
+    shape = graph_shape(g)[0]
+    if shape != "solver":
+        raise PreconditionFailed(f"a {shape or 'disconnected'} graph has no working tree")
     if g.n < 5:
         raise PreconditionFailed("spanning-tree routine needs n >= 5")
-    if is_star_shape(g):
-        raise PreconditionFailed("stars have no working tree")
-    if g.max_degree() < 3:
-        raise PreconditionFailed("need a vertex of degree >= 3")
     root = min(v for v in g.vertices() if g.degree(v) >= 3)
     _, parent, order = bfs(g.adj, (root,))
     edges = {(min(v, parent[v]), max(v, parent[v])) for v in order[1:]}
@@ -292,7 +289,10 @@ def transform_within_h(
 ) -> tuple[Configuration, MoveSequence]:
     """Move the H restriction of c to the requested H configuration using
     only moves inside H. Raises NotSameClass if the target lies in the
-    other class."""
+    other class, PreconditionFailed if H is not inside the configuration."""
+    outside = [v for v in emb.vertices if not 1 <= v <= c.n]
+    if outside:
+        raise PreconditionFailed(f"embedded H vertices {outside} are outside 1..{c.n}")
     target = frozenset(target_pegs)
     stray = target - set(emb.vertices)
     if stray:
@@ -505,15 +505,12 @@ def absorb_nearest_peg(
 
 
 def _solve_paw_four(g: Graph, hole: int) -> MoveSequence:
-    """n = 4 base case: restrict to a triangle-with-pendant subgraph and
-    search its 16 configurations."""
+    """n = 4 base case of a non-star graph: restrict to a
+    triangle-with-pendant subgraph (the degree-3 centre's spokes and its
+    smallest chord) and search its 16 configurations."""
     center = min(v for v in g.vertices() if g.degree(v) == 3)
-    others = [v for v in g.vertices() if v != center]
-    spokes = [(min(center, o), max(center, o)) for o in others]
-    chords = [e for e in g.sorted_edges() if center not in e]
-    if not chords:
-        raise PreconditionFailed("no triangle with a pendant edge (graph is a star)")
-    paw = Graph(4, spokes + [chords[0]])
+    chord = min(e for e in g.edges if center not in e)
+    paw = Graph(4, [(center, o) for o in g.adj[center]] + [chord])
     res = solve_from(paw, hole)
     if res is None:
         raise InvariantViolation("triangle with pendant failed to solve")
@@ -522,17 +519,17 @@ def _solve_paw_four(g: Graph, hole: int) -> MoveSequence:
 
 def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     """Replay-valid sequence from all-pegs-except-hole down to a single peg,
-    for any connected non-star graph with a vertex of degree >= 3; every
-    other ``graph_shape`` is refused."""
+    for any connected non-star graph: the line kernel on a path or cycle
+    (NotSolvableStart for a hole outside its closed form), else the H one."""
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
-    shape = graph_shape(g)[0]
+    shape, order = graph_shape(g)
     if shape == "star":
         raise PreconditionFailed("stars are not solvable")
     if shape is None:
         raise PreconditionFailed("graph must be connected")
     if shape != "solver":
-        raise PreconditionFailed("no vertex of degree >= 3; use the path/cycle routines")
+        return _solve_line(shape, order, hole)
     if g.n == 4:
         return _solve_paw_four(g, hole)
     f = _frame(g)
@@ -607,24 +604,30 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
     distance-3 steps along any path, and an embedded H lets the peg move
     freely among that copy's four class-A singleton positions, the
     class-switch that exists precisely when two degree-3 vertices are
-    joined by a path of length not divisible by 3.
+    joined by a path of length not divisible by 3; other solver graphs are
+    refused. On a path or cycle the 4-path hops reach exactly the hole's
+    closed-form end set, and a target outside it is refused.
     """
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     if not 1 <= target <= g.n:
         raise PreconditionFailed(f"target {target} outside 1..{g.n}")
-    if not doubly_free_predicate(g):
+    shape = graph_shape(g)[0]
+    if shape == "solver" and not doubly_free_predicate(g):
         raise NotDoublyFree(
             "all degree-3 vertices sit at mutual path lengths divisible by 3"
         )
     seq = solve_constructive(g, hole)
     # The solve ends on one peg, so its last move is a jump (an unjump
-    # leaves pegs on both x and y), and a jump lands on z.
-    peg = seq.moves[-1].z
+    # leaves pegs on both x and y), and a jump lands on z; path:2 needs none.
+    peg = seq.moves[-1].z if seq.moves else seq.start.peg_vertices()[0]
     if peg == target:
         return seq
     hops = _lone_peg_hops(g)
-    dist, parent, _ = bfs(hops, (peg,))
+    dist, parent, reached = bfs(hops, (peg,))
+    if dist[target] < 0 and shape != "solver":
+        ends = sorted(reached)
+        raise NotDoublyFree(f"{shape} on {g.n} vertices from hole {hole} ends only on {ends}")
     if dist[target] < 0:
         raise InvariantViolation(
             "lone-peg routing failed although the doubly-free predicate holds"
@@ -725,11 +728,8 @@ def solve_cycle(n: int, hole: int) -> MoveSequence:
 
 
 def line_solver_witness(g: Graph, hole: int) -> MoveSequence | None:
-    """Constructive witness for a path- or cycle-shaped graph under any
-    labeling, or None if this shape has no routine."""
-    shape, order = graph_shape(g)
-    if shape not in ("path", "cycle"):
+    """``solve_constructive`` on a path- or cycle-shaped graph under any
+    labeling, or None for every other shape."""
+    if graph_shape(g)[0] not in ("path", "cycle"):
         return None
-    if not 1 <= hole <= g.n:
-        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
-    return _solve_line(shape, order, hole)
+    return solve_constructive(g, hole)

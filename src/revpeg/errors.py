@@ -60,7 +60,9 @@ class InvariantViolation(SolitaireError):
 
 
 class NotDoublyFree(SolitaireError):
-    """Graph admits no degree-3 pair joined by a path of length not divisible by 3."""
+    """The end peg cannot be chosen freely: on a solver graph, no degree-3
+    pair is joined by a path of length not divisible by 3; on a path or
+    cycle, the target lies outside the hole's end set."""
 
 
 class NotSolvableStart(SolitaireError):

@@ -9,6 +9,8 @@ so ``Graph`` refuses an n above its cap before any edge exists.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ValidationError
 from .model import Graph, bfs, is_connected
 
@@ -96,12 +98,19 @@ def cycle_order(g: Graph) -> list[int] | None:
 def graph_shape(g: Graph) -> tuple[str | None, list[int]]:
     """The paper's case split: ("path" or "cycle", line order), ("star" for
     K_{1,n-1} with n >= 4 or "solver", 1..n) for a connected graph with a
-    degree-3 vertex, and (None, 1..n) for a disconnected graph."""
+    degree-3 vertex, and (None, 1..n) for a disconnected graph. Decided once
+    per graph; every call gets its own copy of the order."""
+    shape, order = _graph_shape(g)
+    return shape, list(order)
+
+
+@lru_cache(maxsize=256)
+def _graph_shape(g: Graph) -> tuple[str | None, tuple[int, ...]]:
     if g.max_degree() >= 3:
         shape = ("star" if is_star_shape(g) else "solver") if is_connected(g) else None
-        return shape, list(g.vertices())
+        return shape, tuple(g.vertices())
     order = path_order(g)
     if order is not None:
-        return "path", order
+        return "path", tuple(order)
     order = cycle_order(g)
-    return ("cycle", order) if order is not None else (None, list(g.vertices()))
+    return ("cycle", tuple(order)) if order is not None else (None, tuple(g.vertices()))

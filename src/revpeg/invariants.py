@@ -231,12 +231,8 @@ def doubly_free_predicate(g: Graph) -> bool:
     (see ``_mod3_weights``), so the test takes linear time.
     """
     shape = graph_shape(g)[0]
-    if shape is None:
-        raise PreconditionFailed("predicate requires a connected graph")
-    if shape == "star":
-        raise PreconditionFailed("predicate does not apply to stars")
     if shape != "solver":
-        raise PreconditionFailed("predicate requires a vertex of degree >= 3")
+        raise PreconditionFailed(f"no doubly-free predicate for a {shape or 'disconnected'} graph")
     base = next(v for v in g.vertices() if g.degree(v) >= 3)
     return _weight_conflict(g, _mod3_weights(g, base)) is not None
 
@@ -255,7 +251,7 @@ class PathCycleVerdict:
 
 
 def _residue_class(n: int, r: int) -> frozenset[int]:
-    return frozenset(v for v in range(1, n + 1) if v % 3 == r)
+    return frozenset(range((r - 1) % 3 + 1, n + 1, 3))
 
 
 def classify_path(n: int) -> PathCycleVerdict:
@@ -286,9 +282,10 @@ def classify_path(n: int) -> PathCycleVerdict:
     ends: dict[int, frozenset[int]] = {}
     starts: set[int] = set()
     for sr, er in pairing.items():
+        end_class = _residue_class(n, er)
         for h in _residue_class(n, sr):
             starts.add(h)
-            ends[h] = _residue_class(n, er)
+            ends[h] = end_class
     return PathCycleVerdict(True, frozenset(starts), ends, Verdict.SOLVABLE)
 
 
@@ -301,7 +298,8 @@ def classify_cycle(n: int) -> PathCycleVerdict:
     if r in (1, 5):
         return PathCycleVerdict(False, frozenset(), {}, Verdict.NOT_SOLVABLE)
     if r in (0, 3):
-        ends = {h: frozenset(v for v in everything if v % 3 == h % 3) for h in everything}
+        classes = [_residue_class(n, k) for k in range(3)]
+        ends = {h: classes[h % 3] for h in everything}
         return PathCycleVerdict(True, everything, ends, Verdict.FREELY_SOLVABLE)
     ends = {h: everything for h in everything}
     return PathCycleVerdict(True, everything, ends, Verdict.DOUBLY_FREELY_SOLVABLE)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from revpeg.cli import main
-from revpeg.graphio import witness_to_json
+from revpeg.cli import load_graph_spec, main
+from revpeg.construct import solve_constructive_to
+from revpeg.graphio import witness_from_json, witness_to_json
 from revpeg.model import Configuration, MoveSequence, jump
 
 DATA = Path(__file__).parent / "data"
@@ -240,11 +241,41 @@ class TestSolve:
 
     @pytest.mark.parametrize("spec", ["path:6", "cycle:6"])
     def test_constructive_target_without_degree_3_vertex(self, capsys, spec):
-        code = main(["solve", spec, "--hole", "2", "--target", "5"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert "--method oracle" in captured.err
+        # 5 is in hole 2's end set on both lines, so the lone peg is routed
+        code, rep = run_cli(capsys, "solve", spec, "--hole", "2", "--target", "5")
+        assert code == 0
+        assert rep["results"]["solvable"] is True
+        assert rep["results"]["final_pegs"] == [5]
+        seq = witness_from_json(rep["results"]["witness"])
+        assert seq == solve_constructive_to(load_graph_spec(spec), 2, 5)
+
+    @pytest.mark.parametrize("spec", ["path:6", "cycle:8"])
+    def test_constructive_line_target_cross_checks(self, capsys, spec):
+        code, rep = run_cli(capsys, "solve", spec, "--hole", "2", "--target", "5",
+                            "--cross-check")
+        assert code == 0
+        assert rep["results"]["final_pegs"] == [5]
+        assert rep["cross_checks"] == [{"kind": "oracle-replay", "match": True}]
+
+    def test_constructive_line_target_outside_the_end_set(self, capsys):
+        # path:6 from hole 2 ends only on 2 or 5, as the oracle says too
+        code, rep = run_cli(capsys, "solve", "path:6", "--hole", "2", "--target", "4")
+        assert code == 0
+        assert rep["results"]["solvable"] is False
+        assert rep["results"]["reason"] == (
+            "not doubly freely solvable: path on 6 vertices from hole 2 ends only on [2, 5]"
+        )
+        code, rep = run_cli(capsys, "solve", "path:6", "--hole", "2", "--target", "4",
+                            "--method", "oracle")
+        assert code == 0 and rep["results"]["solvable"] is False
+
+    def test_constructive_target_on_disconnected_graph(self, capsys, tmp_path):
+        gf = tmp_path / "g.txt"
+        gf.write_text("5 3\n1 2\n2 3\n4 5\n")
+        for extra in ([], ["--target", "3"]):
+            code, rep = run_cli(capsys, "solve", str(gf), "--hole", "1", *extra)
+            assert code == 2
+            assert rep["error"] == "PreconditionFailed: graph must be connected"
 
 
 class TestVerify:
@@ -553,6 +584,23 @@ class TestBadInputs:
     def test_zero_threads(self, capsys):
         assert main(["--threads", "0", "census", "--max-n", "2"]) == 1
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--max-n", "1"],
+        ["census", "--max-n", "-3"],
+        ["table", "--family", "cycle", "--max-n", "2"],
+        ["table", "--family", "path", "--max-n", "1"],
+    ], ids=["census-1", "census-negative", "table-cycle-2", "table-path-1"])
+    def test_max_n_that_checks_nothing(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --max-n must be at least ")
+
+    def test_census_of_samples_alone(self, capsys):
+        code, rep = run_cli(capsys, "census", "--max-n", "1", "--samples", "2",
+                            "--n-range", "5:6")
+        assert code == 0 and rep["results"]["graphs_checked"] == 2
 
     def test_negative_samples(self, capsys):
         assert main(["census", "--max-n", "3", "--samples", "-2"]) == 1

@@ -10,6 +10,7 @@ from revpeg.construct import (
     absorb_nearest_peg,
     find_h_embedding,
     find_spanning_tree,
+    line_solver_witness,
     p4_move,
     shift_hole_onto_h,
     solve_constructive,
@@ -178,6 +179,14 @@ class TestTransformWithinH:
         emb = HEmbedding(1, 2, 3, 4, 5)
         with pytest.raises(NotSameClass):
             transform_within_h(emb, h_config("e"), {3})
+
+    @pytest.mark.parametrize("target", [{3}, {4, 5}])
+    def test_embedding_outside_the_configuration_refused(self, target):
+        # H on 1..5 cannot act on a 3-vertex configuration, whatever the target
+        emb = HEmbedding(1, 2, 3, 4, 5)
+        why = r"embedded H vertices \[4, 5\] are outside 1\.\.3"
+        with pytest.raises(PreconditionFailed, match=why):
+            transform_within_h(emb, Configuration(3, 0b011), target)
 
     def test_respects_relabeled_embedding(self):
         # embed H inside a larger graph with scrambled labels
@@ -386,8 +395,11 @@ class TestSolveConstructive:
             solve_constructive(star_graph(5), 2)
 
     def test_path_rejected(self):
-        with pytest.raises(PreconditionFailed):
-            solve_constructive(path_graph(6), 2)
+        # despite the name, a path is solved, by the line kernel
+        g = path_graph(6)
+        seq = solve_constructive(g, 2)
+        assert seq == line_solver_witness(g, 2) == solve_path(6, 2)
+        assert replay(g, seq).peg_count() == 1
 
     def test_random_graphs_oracle_crosscheck(self, rng):
         count = 0

@@ -9,7 +9,10 @@ earlier code apart from names, so ``solve_constructive`` and
 lists exactly, and raise the same exception types where they refuse;
 ``find_spanning_tree`` must return the same working tree. The reference
 routes the lone peg over its own hop table, which lists every 4-path hop
-and every H teleport, repeats included.
+and every H teleport, repeats included. Paths and cycles go to the earlier
+line solver of ``test_line_differential``, and a target on them is refused
+when the closed form puts it outside the hole's end set; only solver
+graphs face the doubly-free gate.
 
 The general solver's moves come from caches shared by every witness
 (``_macro_moves``, ``_h_walk``), so the comparison also runs where those
@@ -31,6 +34,7 @@ from collections import deque
 import pytest
 
 from conftest import random_connected_graph, relabeled
+from test_line_differential import ref_line_solver_witness
 from revpeg.census import labeled_connected_graphs
 import revpeg.construct as construct
 from revpeg.construct import (
@@ -55,7 +59,7 @@ from revpeg.errors import (
 )
 from revpeg.families import is_star_shape
 from revpeg.hclasses import HClass, h_class_of, h_route
-from revpeg.invariants import doubly_free_predicate
+from revpeg.invariants import closed_form, doubly_free_predicate
 from revpeg.model import (
     JUMP,
     UNJUMP,
@@ -268,7 +272,7 @@ def ref_solve_constructive(g, hole):
     if is_star_shape(g) and g.n >= 4:
         raise PreconditionFailed("stars are not solvable")
     if g.max_degree() < 3:
-        raise PreconditionFailed("no vertex of degree >= 3")
+        return ref_line_solver_witness(g, hole)
     if g.n == 4:
         return _solve_paw_four(g, hole)
     t = ref_find_spanning_tree(g)
@@ -323,9 +327,14 @@ def ref_lone_peg_hops(g):
 def ref_solve_constructive_to(g, hole, target):
     if not 1 <= target <= g.n:
         raise PreconditionFailed(f"target {target} outside 1..{g.n}")
-    if not doubly_free_predicate(g):
+    solver = is_connected(g) and g.max_degree() >= 3 and not is_star_shape(g)
+    if solver and not doubly_free_predicate(g):
         raise NotDoublyFree("not doubly free")
     seq = ref_solve_constructive(g, hole)
+    if not solver:
+        shape, order, verdict = closed_form(g)
+        if target not in {order[p - 1] for p in verdict.end_pegs[order.index(hole) + 1]}:
+            raise NotDoublyFree(f"{shape} target outside the end set")
     cur = seq.start
     for m in seq.moves:
         cur = apply_move(cur, m)

@@ -1,0 +1,72 @@
+"""Differential test: line targets served by ``solve_constructive_to``
+against the closed-form end sets.
+
+On every path and cycle with n <= 64, on the identity labeling and on a
+seeded relabeling, ``solve_constructive_to`` is asked from every hole. It
+must refuse an inadmissible hole with ``NotSolvableStart``. From an
+admissible hole it must serve each of the hole's end pegs in
+``closed_form`` with a witness that starts from the hole and replays to
+the target, and refuse every other target with ``NotDoublyFree``, naming
+the end pegs. Up to n = 20 every target is asked; above that, three
+seeded end pegs and three seeded other targets per hole, since each
+served target costs a full solve.
+
+``PYTHONPATH=src python tests/test_line_target_differential.py`` asks
+every target of every hole for every n <= 64.
+"""
+
+import random
+
+import pytest
+
+from conftest import relabeled
+from revpeg.construct import solve_constructive_to
+from revpeg.errors import NotDoublyFree, NotSolvableStart
+from revpeg.families import cycle_graph, path_graph
+from revpeg.invariants import closed_form
+from revpeg.model import Configuration, replay
+
+EVERY_TARGET_UP_TO = 20
+MAX_N = 64
+
+
+def check_line(g, rng, every_target):
+    shape, order, verdict = closed_form(g)
+    for p in range(1, g.n + 1):
+        hole = order[p - 1]
+        if p not in verdict.admissible_starts:
+            with pytest.raises(NotSolvableStart):
+                solve_constructive_to(g, hole, hole)
+            continue
+        ends = sorted(order[q - 1] for q in verdict.end_pegs[p])
+        refusal = f"{shape} on {g.n} vertices from hole {hole} ends only on {ends}"
+        others = sorted(set(g.vertices()) - set(ends))
+        if not every_target:
+            ends = rng.sample(ends, min(3, len(ends)))
+            others = rng.sample(others, min(3, len(others)))
+        for target in ends:
+            seq = solve_constructive_to(g, hole, target)
+            assert seq.start == Configuration.with_hole(g.n, hole)
+            assert replay(g, seq).peg_vertices() == (target,)
+        for target in others:
+            with pytest.raises(NotDoublyFree) as exc:
+                solve_constructive_to(g, hole, target)
+            assert str(exc.value) == refusal
+
+
+def check_lines(n, every_target):
+    rng = random.Random(6400 + n)
+    for line in (path_graph, cycle_graph)[: 1 + (n >= 3)]:
+        check_line(line(n), rng, every_target)
+        check_line(relabeled(rng, line(n)), rng, every_target)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N + 1))
+def test_line_targets_are_the_closed_form_end_sets(n):
+    check_lines(n, n <= EVERY_TARGET_UP_TO)
+
+
+if __name__ == "__main__":
+    for n in range(2, MAX_N + 1):
+        check_lines(n, every_target=True)
+    print(f"every target from every hole agrees on every path and cycle with n <= {MAX_N}")
