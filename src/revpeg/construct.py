@@ -73,7 +73,7 @@ from .errors import (
 )
 from .families import graph_shape, is_star_shape
 from .hclasses import CLASS_BY_MASK, HClass, LETTERS, h_route, letter_mask
-from .invariants import classify_path, classify_cycle, doubly_free_predicate
+from .invariants import PathCycleVerdict, classify_path, classify_cycle, doubly_free_predicate
 from .model import (
     JUMP,
     UNJUMP,
@@ -606,17 +606,23 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
     class-switch that exists precisely when two degree-3 vertices are
     joined by a path of length not divisible by 3; other solver graphs are
     refused. On a path or cycle the 4-path hops reach exactly the hole's
-    closed-form end set, and a target outside it is refused.
+    closed-form end set, so a target outside it is refused from the closed
+    form, before any solve.
     """
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     if not 1 <= target <= g.n:
         raise PreconditionFailed(f"target {target} outside 1..{g.n}")
-    shape = graph_shape(g)[0]
+    shape, order = graph_shape(g)
     if shape == "solver" and not doubly_free_predicate(g):
         raise NotDoublyFree(
             "all degree-3 vertices sit at mutual path lengths divisible by 3"
         )
+    if shape in ("path", "cycle"):
+        verdict, pos = _line_closed_form(shape, order, hole)
+        ends = sorted(order[p - 1] for p in verdict.end_pegs[pos])
+        if target not in ends:
+            raise NotDoublyFree(f"{shape} on {g.n} vertices from hole {hole} ends only on {ends}")
     seq = solve_constructive(g, hole)
     # The solve ends on one peg, so its last move is a jump (an unjump
     # leaves pegs on both x and y), and a jump lands on z; path:2 needs none.
@@ -624,13 +630,10 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
     if peg == target:
         return seq
     hops = _lone_peg_hops(g)
-    dist, parent, reached = bfs(hops, (peg,))
-    if dist[target] < 0 and shape != "solver":
-        ends = sorted(reached)
-        raise NotDoublyFree(f"{shape} on {g.n} vertices from hole {hole} ends only on {ends}")
+    dist, parent, _ = bfs(hops, (peg,))
     if dist[target] < 0:
         raise InvariantViolation(
-            "lone-peg routing failed although the doubly-free predicate holds"
+            "lone-peg routing failed although the closed form admits the target"
         )
     chain = []
     v = target
@@ -671,6 +674,18 @@ def _even_sweep(vs: list[int]) -> list[Move]:
     return moves
 
 
+def _line_closed_form(shape: str, order, hole: int) -> tuple[PathCycleVerdict, int]:
+    """The closed form of the path or cycle whose vertices, in line order,
+    are ``order``, and the hole's position on it; NotSolvableStart when that
+    position is not an admissible start."""
+    n = len(order)
+    verdict = classify_path(n) if shape == "path" else classify_cycle(n)
+    pos = order.index(hole) + 1 if hole in order else 0
+    if pos not in verdict.admissible_starts:
+        raise NotSolvableStart(f"{shape} on {n} vertices is not solvable from hole {hole}")
+    return verdict, pos
+
+
 def _solve_line(shape: str, order, hole: int) -> MoveSequence:
     """Solve the path or cycle whose vertices, in line order, are ``order``,
     from ``hole``; admissibility is the closed form at the hole's position.
@@ -684,10 +699,7 @@ def _solve_line(shape: str, order, hole: int) -> MoveSequence:
     the even line from the far end.
     """
     n = len(order)
-    verdict = classify_path(n) if shape == "path" else classify_cycle(n)
-    pos = order.index(hole) + 1 if hole in order else 0
-    if pos not in verdict.admissible_starts:
-        raise NotSolvableStart(f"{shape} on {n} vertices is not solvable from hole {hole}")
+    pos = _line_closed_form(shape, order, hole)[1]
     entry = 2 if n % 2 == 0 else 3
     vs = list(order)
     if shape == "cycle":

@@ -30,31 +30,27 @@ the complement of a class is a class too, and its row of the matrix needs
 no search of its own.
 
 Witnesses are the ones a FIFO search over single states gives when it scans
-moves in ``path_triples`` order and keeps each state's first discoverer: of
-all fewest-move sequences, the one whose list of ``path_triples`` indices is
+moves in ``path_triples`` order, keeps each state's first discoverer and
+stops at the first target state it dequeues: of all fewest-move sequences
+into the target set, the one whose list of ``path_triples`` indices is
 lexicographically smallest. (By induction over levels: that search dequeues
 each level in the lexicographic order of its states' index lists, so each
 state inherits the smallest list of any predecessor.) ``_route`` searches
-backward from the target to the level R_D that holds the start, then walks
-forward taking, from the k-th state, the first legal triple that lands in
-R_(D-k-1): the neighbours k + 1 moves from the start on a fewest-move
-route, since a neighbour is at most k + 1 moves from the start, and at
-least k + 1 if it is D - k - 1 moves from the target.
+backward from the target set to the level R_D that holds the start, then
+walks forward taking, from the k-th state, the first legal triple that lands
+in R_(D-k-1): the neighbours k + 1 moves from the start on a fewest-move
+route into the set, since a neighbour is at most k + 1 moves from the start,
+and at least k + 1 if it is D - k - 1 moves from the set.
 
-``min_unjumps`` is a fewest-move search. A jump removes one peg and an
-unjump adds one, so a solve from the one-hole start (n - 1 pegs) to one peg
-with u unjumps has n - 2 + 2u moves: the fewest unjumps are the fewest
-moves. It searches forward to the first level that holds a single-peg
-state, and walks back from the smallest such peg, taking at each step the
-first legal triple that lands in the level before. A move is legal at t
-exactly when its inverse is legal at t ^ mask, the state it leads to, so
-the walk back, reversed and with each move inverted, is a solve.
+``min_unjumps`` is the ``_route`` into the set of single-peg states. A jump
+removes one peg and an unjump adds one, so a solve from the one-hole start
+(n - 1 pegs) to one peg with u unjumps has n - 2 + 2u moves: the fewest
+unjumps are the fewest moves.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, cycle
@@ -108,8 +104,9 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class MinUnjumpResult:
-    """The fewest unjumps of any solve, and a solve with that many that ends
-    on the smallest peg such solves reach."""
+    """The fewest unjumps of any solve, and a solve with that many: the
+    lexicographically first fewest-move sequence into the set of single-peg
+    states, the rule of every oracle witness."""
 
     count: int
     witness: MoveSequence
@@ -253,11 +250,13 @@ def _closure(g: Graph, start: int) -> int:
     return seen
 
 
-def _levels(g: Graph, start: int, targets: int) -> list[int]:
-    """Breadth-first search over state sets from state `start`: the levels
-    L_0 = {start}, L_1, ... up to the first that meets the set `targets`
-    (all of them when no target is reachable)."""
-    levels, before = [1 << start], 0
+def _levels(g: Graph, sources: int, targets: int) -> list[int]:
+    """Breadth-first search over state sets from the set `sources`: the
+    levels L_0 = sources, L_1, ... up to the first that meets the set
+    `targets` (all of them when no target is reachable). The sources share
+    one peg count, so no move joins two states of a level and the next
+    frontier is the image of the last level less the one before it."""
+    levels, before = [sources], 0
     while not levels[-1] & targets:
         frontier = _image(levels[-1], g) & ~before
         if not frontier:
@@ -267,31 +266,25 @@ def _levels(g: Graph, start: int, targets: int) -> list[int]:
     return levels
 
 
-def _walk(g: Graph, s: int, levels: Iterable[int]) -> list[Move]:
-    """The moves from state `s` into each of `levels` in turn, each the
-    first legal ``path_triples`` move that lands in the next level."""
+def _route(g: Graph, start: int, targets: int) -> MoveSequence | None:
+    """The lexicographically first fewest-move sequence from state `start`
+    into the set `targets`, or None when no target is reachable: a search
+    backward from `targets`, then a forward walk that takes, from the k-th
+    state, the first legal ``path_triples`` move into backward level
+    D - k - 1, which is k + 1 moves from `start` (see the module docstring)."""
+    back = _levels(g, targets, 1 << start)
+    if not _has(back[-1], start):
+        return None
     triples = path_triples(g)
-    chain = []
-    for level in levels:
+    s, chain = start, []
+    for level in reversed(back[:-1]):
         for x, y, z, mask, on_jump, on_unjump in triples:
             on = s & mask
             if (on == on_jump or on == on_unjump) and _has(level, s ^ mask):
                 chain.append(Move(JUMP if on == on_jump else UNJUMP, x, y, z))
                 s ^= mask
                 break
-    return chain
-
-
-def _route(g: Graph, start: int, target: int) -> MoveSequence | None:
-    """The lexicographically first fewest-move sequence from `start` to
-    `target`, or None when `target` is not reachable: a search backward from
-    `target`, then a forward walk that takes, from the k-th state, the first
-    legal triple into backward level D - k - 1, which is k + 1 moves from
-    `start` (see the module docstring)."""
-    back = _levels(g, target, 1 << start)
-    if not _has(back[-1], start):
-        return None
-    return MoveSequence(Configuration(g.n, start), tuple(_walk(g, start, reversed(back[:-1]))))
+    return MoveSequence(Configuration(g.n, start), tuple(chain))
 
 
 def shortest_route(
@@ -303,7 +296,7 @@ def shortest_route(
         if not 0 <= mask < 1 << g.n:
             raise PreconditionFailed(f"peg mask {mask} is not a state on {g.n} vertices")
     check_budget(g.n, memory_budget, witness=True)
-    return _route(g, src, dst)
+    return _route(g, src, 1 << dst)
 
 
 def reachable_set(
@@ -362,7 +355,7 @@ def solve_from(
     end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if _has(seen, mask))
     if not end_pegs:
         return None
-    return SolveResult(end_pegs, _route(g, start, 1 << (min(end_pegs) - 1)))
+    return SolveResult(end_pegs, _route(g, start, 1 << (1 << (min(end_pegs) - 1))))
 
 
 def witness_to(
@@ -423,11 +416,10 @@ def min_unjumps(
 ) -> MinUnjumpResult | None:
     """Minimum unjumps over all solving sequences from the one-hole start.
 
-    A solve with u unjumps has n - 2 + 2u moves, so this is the fewest-move
-    search of ``_route``, forward to the first level with a single-peg
-    state; the witness ends on the smallest such peg and is walked back
-    through the levels (see the module docstring). Returns None when the
-    start is not solvable at all.
+    A solve with u unjumps has n - 2 + 2u moves, so the witness is the
+    ``_route`` into the set of single-peg states, and the count is its
+    unjumps (see the module docstring). Returns None when the start is not
+    solvable at all.
     """
     if not is_connected(g):
         raise DisconnectedGraph("min_unjumps requires a connected graph")
@@ -435,13 +427,7 @@ def min_unjumps(
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     check_budget(g.n, memory_budget, witness=True)
     singles = sum(1 << mask for mask, _ in _single_peg_states(g.n))
-    start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    levels = _levels(g, start, singles)
-    ends = levels[-1] & singles
-    if not ends:
+    witness = _route(g, ((1 << g.n) - 1) ^ (1 << (hole - 1)), singles)
+    if witness is None:
         return None
-    back = _walk(g, (ends & -ends).bit_length() - 1, reversed(levels[:-1]))
-    witness = MoveSequence(
-        Configuration(g.n, start), tuple(m.inverse() for m in reversed(back))
-    )
     return MinUnjumpResult(witness.unjump_count(), witness)

@@ -3,8 +3,9 @@
 Each case runs ``cli.main`` inside ``tests/data`` (so file specs in the
 reports are relative) and compares the exit code and the exact stdout with
 ``tests/data/cli_golden.json``. After an intended report change, rewrite
-the corpus with ``PYTHONPATH=src python tests/test_cli_golden.py`` and
-review the diff.
+the corpus with ``PYTHONPATH=src python tests/test_cli_golden.py``: it
+prints the argv of each case whose entry changed and how many stayed the
+same. Review the diff.
 """
 
 import contextlib
@@ -103,5 +104,11 @@ def test_reused_parser_carries_no_state(golden, monkeypatch):
 
 
 if __name__ == "__main__":
+    old = {tuple(c["argv"]): c for c in json.loads(GOLDEN.read_text())} if GOLDEN.exists() else {}
     os.chdir(DATA)
-    GOLDEN.write_text(json.dumps([run_case(a) for a in CASES], indent=1) + "\n")
+    cases = [run_case(a) for a in CASES]
+    changed = [c["argv"] for c in cases if old.get(tuple(c["argv"])) != c]
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+    for argv in changed:
+        print("changed:", " ".join(argv))
+    print(f"{len(changed)} changed, {len(cases) - len(changed)} unchanged")

@@ -13,14 +13,12 @@ witnesses, unjump counts, end pegs, partitions, classifications and routes
 exactly. The level references use ``ref_image``, so the closure is never
 checked against the kernel it runs on.
 
-The one exception is the min_unjumps witness. The deque search keeps the
-first discoverer of each state in its own order, jumps pushed to the
-front, which a search over state sets does not see. The oracle counts
-unjumps by moves instead: a solve with u unjumps has n - 2 + 2u moves.
-``ref_unjump_witness`` states its witness rule one state at a time (FIFO
-distances, the smallest single peg at the least distance, a walk back
-through distance d - 1), and the oracle must reproduce it exactly; the
-deque still fixes the count and the end peg.
+Every oracle witness follows one rule, ``min_unjumps``'s included: a FIFO
+search over single states from the start, scanning triples in order and
+keeping each state's first discoverer, rebuilt by parent pointers from the
+first target state it dequeues. ``ref_witness_bfs`` and ``ref_rebuild``
+give it for one target and ``ref_single_peg_witness`` for the set of
+single-peg states; the deque search of ``ref_min_unjumps`` fixes the count.
 
 ``PYTHONPATH=src python tests/test_kernel_differential.py N`` runs the
 check, the image check on seeded state sets included, over every labeled
@@ -229,46 +227,32 @@ def ref_min_unjumps(g, hole):
     return dist[best], ref_rebuild(g, start, best, parent_state, parent_triple)
 
 
-def ref_unjump_witness(g, hole):
-    """The min_unjumps witness by its rule: FIFO distances from the start,
-    the smallest single peg at the least distance, and a walk back taking
-    the first triple whose move from a state at distance d - 1 lands on the
-    current state."""
+def ref_single_peg_witness(g, hole):
+    """The min_unjumps witness by the one witness rule: a FIFO search from
+    the start, scanning triples in order and keeping each state's first
+    discoverer, stops at the first single-peg state it dequeues, and the
+    witness is rebuilt by parent pointers."""
     triples = ref_directed_triples(g)
     start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
-    dist = {start: 0}
+    parent_state = {start: -1}
+    parent_triple = {}
     queue = deque((start,))
     while queue:
         s = queue.popleft()
-        for mask, bx, by, bz in triples:
+        if s and not s & (s - 1):
+            return ref_rebuild(g, start, s, parent_state, parent_triple)
+        for idx, (mask, bx, by, bz) in enumerate(triples):
             if s & bx:
                 if not (s & by) or (s & bz):
                     continue
             elif (s & by) or not (s & bz):
                 continue
-            if s ^ mask not in dist:
-                dist[s ^ mask] = dist[s] + 1
-                queue.append(s ^ mask)
-    ends = [1 << (v - 1) for v in g.vertices() if 1 << (v - 1) in dist]
-    if not ends:
-        return None
-    moves_xyz = ref_triple_moves(g)
-    chain = []
-    t = min(ends, key=dist.get)
-    while t != start:
-        for (mask, bx, by, bz), (x, y, z) in zip(triples, moves_xyz):
-            s = t ^ mask
-            if dist.get(s) != dist[t] - 1:
-                continue
-            if s & bx and s & by and not s & bz:
-                chain.append(Move(JUMP, x, y, z))
-                break
-            if not s & bx and not s & by and s & bz:
-                chain.append(Move(UNJUMP, x, y, z))
-                break
-        t = s
-    chain.reverse()
-    return MoveSequence(Configuration(g.n, start), tuple(chain))
+            t = s ^ mask
+            if t not in parent_state:
+                parent_state[t] = s
+                parent_triple[t] = idx
+                queue.append(t)
+    return None
 
 
 def ref_image(states, g):
@@ -400,7 +384,7 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
     for hole in holes or g.vertices():
         start = full ^ (1 << (hole - 1))
         for targets in (0, singles):
-            assert _levels(g, start, targets) == ref_levels(g, start, targets)
+            assert _levels(g, 1 << start, targets) == ref_levels(g, start, targets)
         visited, parent_state, parent_triple = ref_witness_bfs(g, start)
         ends = frozenset(v for v in g.vertices() if visited[1 << (v - 1)])
         res = solve_from(g, hole)
@@ -423,10 +407,12 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
         if ref is None:
             assert got is None
         else:
-            count, deque_witness = ref
+            count = ref[0]
             assert got.count == count
-            assert replay(g, got.witness) == replay(g, deque_witness)
-            assert got.witness == ref_unjump_witness(g, hole)
+            assert got.witness == ref_single_peg_witness(g, hole)
+            (final,) = replay(g, got.witness).peg_vertices()
+            assert final in ends
+            assert got.witness == witness_to(g, hole, final)
             # a solve with u unjumps has n - 2 + 2u moves, so the fewest
             # unjumps are the fewest moves to any single peg
             assert len(got.witness) == g.n - 2 + 2 * count
