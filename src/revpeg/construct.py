@@ -18,16 +18,17 @@ in) depend only on the graph and are built once per graph (``_frame``,
 cached like ``model.path_triples``). The order, the non-H vertices by
 (distance to H, vertex), is fixed in advance: after the hole shift every
 vertex outside H holds a peg, and each absorption removes exactly the chosen
-peg from outside H (checked), so the closest remaining outside peg is
-always the next vertex of the order. A solve thus runs no search of its own
-and costs O(n + moves). It runs on the int peg mask, checks each move with
-model's rule (a 4-path macro's peg-and-three-holes or hole-and-three-pegs
-pattern is that rule for both of its moves), and builds ``Configuration``
-objects only at phase boundaries; the public step functions wrap the same
-kernels. An absorption reads the H restriction from the pegs once: its
-march stays outside H, and its entry macro lands the peg on a hole of the
-staging, so the class after it is that of the staging plus the landing
-letter.
+peg from outside H (a macro moves a peg from one end of its path to the
+other, and only the entry macro ends in H), so the closest remaining outside
+peg is always the next vertex of the order. A solve thus runs no search of
+its own and costs O(n + moves). It runs on the int peg mask, checks each
+move with model's rule (a 4-path macro's peg-and-three-holes or
+hole-and-three-pegs pattern is that rule for both of its moves), and builds
+``Configuration`` objects only at phase boundaries; the public step
+functions wrap the same kernels. An absorption reads the H restriction
+once: its march stays outside H and its entry lands the peg on a staging
+hole, so H ends in the class of the staging plus the landing letter, which
+``_build_frame`` checks is A or B once per graph, for every plan.
 
 A witness shares its moves instead of building one per step. The two moves
 of a 4-path macro depend only on the path and on the case it plays (a peg
@@ -71,7 +72,7 @@ from .errors import (
     PatternMismatch,
     PreconditionFailed,
 )
-from .families import graph_shape, is_star_shape
+from .families import graph_shape
 from .hclasses import CLASS_BY_MASK, HClass, LETTERS, h_route, letter_mask
 from .invariants import PathCycleVerdict, classify_path, classify_cycle, doubly_free_predicate
 from .model import (
@@ -248,10 +249,7 @@ def find_spanning_tree(g: Graph) -> WorkingTree:
         u, v = min(e for e in g.sorted_edges() if root not in e)
         edges.remove((min(root, u), max(root, u)))
         edges.add((u, v))
-    tree = Graph(g.n, sorted(edges))
-    if tree.degree(root) < 3 or is_star_shape(tree):
-        raise InvariantViolation("working tree construction failed")
-    return WorkingTree(tree, root)
+    return WorkingTree(Graph(g.n, sorted(edges)), root)
 
 
 def find_h_embedding(t: WorkingTree) -> HEmbedding:
@@ -362,8 +360,15 @@ def _build_frame(t: WorkingTree, emb: HEmbedding) -> _Frame:
             plans[v] = (between | after[0], path) + after[2:]
             continue
         plan = [between, None]
+        letter = emb.letter(path[k])
         for cls in (HClass.A, HClass.B):
-            stage, entry = _ABSORB[(emb.letter(path[k]), cls)][k]
+            stage, entry = _ABSORB[(letter, cls)][k]
+            landed = CLASS_BY_MASK[letter_mask(stage) | letter_mask(entry[-1])]
+            if landed not in (HClass.A, HClass.B):
+                raise InvariantViolation(
+                    f"_ABSORB[({letter!r}, {cls.value})][{k}] = {(stage, entry)} "
+                    f"leaves H in {landed.value}; expected class A or B"
+                )
             plan += (letter_mask(stage), path[:k] + tuple(map(emb.vertex, entry)))
         plans[v] = tuple(plan)
     order = tuple(sorted(reached[5:], key=lambda v: (dist[v], v)))
@@ -412,7 +417,7 @@ _HOLE_ENTRY = {
 
 
 def _shift_hole(f: _Frame, pegs: int, hole: int, moves: list[Move]) -> int:
-    """Walk the lone hole of ``pegs`` onto H; a no-op when it is on H."""
+    """Walk the lone hole of ``pegs`` onto H by hole-case macros; a no-op when it is on H."""
     if f.h_mask >> (hole - 1) & 1:
         return pegs
     emb, toward = f.emb, f.toward
@@ -426,8 +431,6 @@ def _shift_hole(f: _Frame, pegs: int, hole: int, moves: list[Move]) -> int:
         path = _path_toward_h(toward, hole, k)
         entry = _HOLE_ENTRY[(emb.letter(path[k]), k)]
         pegs = _p4(pegs, tuple(path[:k] + [emb.vertex(ch) for ch in entry]), moves)
-    if not f.h_mask & ~pegs:
-        raise InvariantViolation("hole failed to land on H")
     return pegs
 
 
@@ -439,7 +442,6 @@ def _absorb(f: _Frame, pegs: int, peg: int, moves: list[Move]) -> int:
     before_class = CLASS_BY_MASK[h]
     if before_class not in (HClass.A, HClass.B):
         raise PreconditionFailed(f"H restriction is {before_class.value}, need A or B")
-    outside = (pegs & ~f.h_mask).bit_count()
     plan = f.plans[peg]
     if pegs & plan[0]:
         raise PreconditionFailed("a closer peg sits between the chosen peg and H")
@@ -449,17 +451,7 @@ def _absorb(f: _Frame, pegs: int, peg: int, moves: list[Move]) -> int:
         march = f.plans[march[3]][1]
     # The march stays outside H, so the class is still before_class.
     i = 2 if before_class is HClass.A else 4
-    stage, entry = plan[i], plan[i + 1]
-    pegs = _p4(_within_h(vs, pegs, h, stage, moves), entry, moves)
-    # The entry macro lands the peg on a hole of the staging.
-    after_class = CLASS_BY_MASK[stage | 1 << vs.index(entry[3])]
-    if after_class not in (HClass.A, HClass.B):
-        raise InvariantViolation(
-            f"absorption left H in {after_class.value}; expected class A or B"
-        )
-    if (pegs & ~f.h_mask).bit_count() != outside - 1:
-        raise InvariantViolation("absorption did not remove exactly one outside peg")
-    return pegs
+    return _p4(_within_h(vs, pegs, h, plan[i], moves), plan[i + 1], moves)
 
 
 def shift_hole_onto_h(

@@ -419,13 +419,17 @@ def min_unjumps(
     A solve with u unjumps has n - 2 + 2u moves, so the witness is the
     ``_route`` into the set of single-peg states, and the count is its
     unjumps (see the module docstring). Returns None when the start is not
-    solvable at all.
+    solvable at all, at once when it has no legal move and more than one peg.
     """
     if not is_connected(g):
         raise DisconnectedGraph("min_unjumps requires a connected graph")
     if not 1 <= hole <= g.n:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     check_budget(g.n, memory_budget, witness=True)
+    # With one hole and n - 1 >= 2 pegs, the only legal moves jump into the
+    # hole over a neighbour that has another neighbour.
+    if g.n > 2 and all(g.degree(y) == 1 for y in g.adj[hole]):
+        return None
     singles = sum(1 << mask for mask, _ in _single_peg_states(g.n))
     witness = _route(g, ((1 << g.n) - 1) ^ (1 << (hole - 1)), singles)
     if witness is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from revpeg.cli import load_graph_spec, main
-from revpeg.construct import solve_constructive_to
+from revpeg.construct import solve_constructive, solve_constructive_to
 from revpeg.graphio import witness_from_json, witness_to_json
-from revpeg.model import Configuration, MoveSequence, jump
+from revpeg.model import Configuration, MoveSequence, jump, replay
 
 DATA = Path(__file__).parent / "data"
 
@@ -437,6 +438,43 @@ class TestMismatchContracts:
         assert rep["results"]["counterexamples"][0]["failures"] == [
             "injected counterexample"
         ]
+
+    @pytest.mark.parametrize("spec", ["path:6", "H"])
+    def test_classify_disagreement_forces_exit_2(self, capsys, monkeypatch, spec):
+        import revpeg.cli as cli_mod
+
+        real = cli_mod.classify
+
+        def lying(g, budget):
+            cls = real(g, budget)
+            hole = min(h for h in cls.matrix if cls.matrix[h])
+            wrong = cls.matrix[hole] - {max(cls.matrix[hole])}
+            return dataclasses.replace(cls, matrix={**cls.matrix, hole: wrong})
+
+        monkeypatch.setattr(cli_mod, "classify", lying)
+        code, rep = run_cli(capsys, "classify", spec)
+        assert code == 2
+        assert [c["match"] for c in rep["cross_checks"]] == [False]
+
+    @pytest.mark.parametrize("method", ["oracle", "constructive"])
+    def test_solve_cross_check_disagreement_forces_exit_2(self, capsys, monkeypatch, method):
+        import revpeg.cli as cli_mod
+
+        g, real = load_graph_spec("H"), cli_mod.solve_from
+        seq = solve_constructive(g, 3) if method == "constructive" else real(g, 3).witness
+        end = replay(g, seq).peg_vertices()[0]
+
+        def lying(*args):
+            res = real(*args)
+            return dataclasses.replace(res, end_pegs=res.end_pegs - {end})
+
+        monkeypatch.setattr(cli_mod, "solve_from", lying)
+        code, rep = run_cli(
+            capsys, "solve", "H", "--hole", "3", "--method", method, "--cross-check"
+        )
+        assert code == 2
+        assert rep["results"]["final_pegs"] == [end]
+        assert rep["cross_checks"] == [{"kind": "oracle-replay", "match": False}]
 
 
 class TestCensus:

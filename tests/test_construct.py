@@ -19,7 +19,9 @@ from revpeg.construct import (
     solve_path,
     transform_within_h,
 )
+import revpeg.construct as construct
 from revpeg.errors import (
+    InvariantViolation,
     NotDoublyFree,
     NotSameClass,
     NotSolvableStart,
@@ -476,6 +478,35 @@ class TestSolveConstructiveTo:
                 solve_constructive_to(g, hole, target)
         info = _lone_peg_hops.cache_info()
         assert info.misses == 1 and info.hits > 0
+
+    @staticmethod
+    def one_hop_from_the_last_peg(g: Graph) -> tuple[int, int]:
+        """The peg the plain solve of cycle:8 from hole 2 ends on, and the
+        target three steps on, one 4-path hop away."""
+        peg = replay(g, solve_constructive(g, 2)).peg_vertices()[0]
+        return peg, (peg + 2) % g.n + 1
+
+    def test_routing_that_misses_the_target_is_refused(self, monkeypatch):
+        g = cycle_graph(8)
+        peg, target = self.one_hop_from_the_last_peg(g)
+        rows = [dict(row) for row in _lone_peg_hops(g)]
+        # A real 4-path from the peg, but the other way round the cycle.
+        rows[peg][target] = ("p4", tuple((peg - i - 1) % g.n + 1 for i in range(4)))
+        monkeypatch.setattr(construct, "_lone_peg_hops", lambda g: tuple(rows))
+        with pytest.raises(
+            InvariantViolation, match="^routing did not end on the requested target$"
+        ):
+            solve_constructive_to(g, 2, target)
+
+    def test_routing_without_hops_is_refused(self, monkeypatch):
+        g = cycle_graph(8)
+        _, target = self.one_hop_from_the_last_peg(g)
+        monkeypatch.setattr(construct, "_lone_peg_hops", lambda g: ({},) * (g.n + 1))
+        with pytest.raises(
+            InvariantViolation,
+            match="^lone-peg routing failed although the closed form admits the target$",
+        ):
+            solve_constructive_to(g, 2, target)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_routing_table_keeps_one_hop_per_target(self, n):

@@ -1,5 +1,6 @@
 """The absorption preconditions that the fixed absorption order rests on,
-and the per-vertex absorption plans of the frame.
+the per-vertex absorption plans of the frame, and the checks that stand in
+for per-absorption ones.
 
 The solver absorbs the non-H vertices in a precomputed (distance to H,
 vertex) order. That order is the "closest outside peg first" order only
@@ -7,7 +8,10 @@ while every absorption finds the chosen peg's path to H empty and the H
 restriction inside class A or B, so both checks must refuse when they fail.
 Each absorption plays its vertex's plan, which must hold what a walk along
 ``toward`` derives: the vertices between the peg and H, the march 4-paths
-and, per H class, the staging mask and the entry 4-path.
+and, per H class, the staging mask and the entry 4-path. An absorption does
+not re-check its result: the frame refuses an ``_ABSORB`` entry whose
+staging plus landing letter leaves classes A and B, and the solve refuses
+pegs left outside H once the absorptions are done.
 
 The macro moves and within-H walks come from shared caches, so the peg/hole
 checks must still run on every play: a corrupted route or a peg mask that
@@ -15,6 +19,7 @@ matches neither macro case raises as it did when each move was built on
 the spot.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -35,7 +40,7 @@ from revpeg.construct import (
     solve_constructive,
     transform_within_h,
 )
-from revpeg.errors import IllegalMove, PatternMismatch, PreconditionFailed
+from revpeg.errors import IllegalMove, InvariantViolation, PatternMismatch, PreconditionFailed
 from revpeg.families import h_graph, is_star_shape
 from revpeg.hclasses import HClass, h_class_of, letter_mask
 from revpeg.model import (
@@ -75,6 +80,58 @@ def test_closer_peg_on_the_chosen_pegs_path_is_refused():
     out, seq = absorb_nearest_peg(WorkingTree(g, 3), EMB, c)
     assert replay(g, MoveSequence(c, seq.moves)) == out
     assert not out.has_peg(7) and out.has_peg(9)
+
+
+@pytest.fixture
+def fresh_frames():
+    """Clear the frame caches around a test that corrupts ``_ABSORB`` or
+    ``_frame``, so no frame built from the corruption outlives it."""
+    _build_frame.cache_clear()
+    _frame.cache_clear()
+    yield
+    _build_frame.cache_clear()
+    _frame.cache_clear()
+
+
+def test_every_absorb_entry_passes_the_frame_check(fresh_frames):
+    # A tail of three vertices off every letter puts a vertex at distances
+    # 1..3 from each, so building the frame reads all 30 entries.
+    edges = list(h_graph().edges)
+    for i, letter in enumerate("abcde"):
+        first = 6 + 3 * i
+        edges += [(EMB.vertex(letter), first), (first, first + 1), (first + 1, first + 2)]
+    frame = _build_frame(WorkingTree(Graph(20, edges), 3), EMB)
+    read = {(EMB.letter(_path_toward_h(frame.toward, v, frame.dist[v])[-1]), frame.dist[v])
+            for v in frame.order}
+    assert read == {(letter, k) for letter in "abcde" for k in (1, 2, 3)}
+    entries = [entry for by_distance in _ABSORB.values() for entry in by_distance.values()]
+    assert len(entries) == 30
+    for stage, entry in entries:
+        assert h_class_of(letter_mask(stage) | letter_mask(entry[-1])) in (HClass.A, HClass.B)
+
+
+def test_frozen_absorb_entry_is_refused_by_the_frame(monkeypatch, fresh_frames):
+    # Staging bd plus landing letter a is abd, an isolated class.
+    monkeypatch.setitem(_ABSORB[("a", HClass.A)], 3, ("bd", "a"))
+    with pytest.raises(
+        InvariantViolation,
+        match=r"^_ABSORB\[\('a', A\)\]\[3\] = \('bd', 'a'\) leaves H in Isolated; "
+        r"expected class A or B$",
+    ):
+        _build_frame(WorkingTree(tail_graph(3), 3), EMB)  # 8 is 3 steps from a
+
+
+def test_pegs_left_outside_h_are_refused(monkeypatch, fresh_frames):
+    g = tail_graph(4)
+    frame = _frame(g)
+    # A frame whose order skips the farthest vertex leaves its peg outside.
+    monkeypatch.setattr(
+        construct, "_frame", lambda g: dataclasses.replace(frame, order=frame.order[:-1])
+    )
+    with pytest.raises(
+        InvariantViolation, match="^pegs are left outside H after the absorptions$"
+    ):
+        solve_constructive(g, 7)
 
 
 @pytest.mark.parametrize(

@@ -457,6 +457,19 @@ class TestMinUnjumps:
         for hole in range(1, 5):
             assert min_unjumps(star_graph(4), hole) is None
 
+    def test_frozen_start_is_refused_without_a_search(self, monkeypatch):
+        calls = []
+        real = oracle._levels
+        monkeypatch.setattr(oracle, "_levels", lambda *a: calls.append(a) or real(*a))
+        # The star's centre hole leaves no legal move.
+        assert min_unjumps(star_graph(14), 1) is None
+        assert calls == []
+        # path:2 from hole 1 has no legal move either, but is one peg already.
+        res = min_unjumps(path_graph(2), 1)
+        assert res is not None and res.count == 0 and res.witness.moves == ()
+        assert min_unjumps(star_graph(14), 2) is None  # a leaf hole has a move
+        assert len(calls) == 2
+
     def test_p3_hole3_witness(self):
         res = min_unjumps(path_graph(3), 3)
         assert res is not None
