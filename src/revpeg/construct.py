@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import (
     EmbeddingNotFound,
@@ -243,7 +244,7 @@ def find_spanning_tree(g: Graph) -> WorkingTree:
     root = min(v for v in g.vertices() if g.degree(v) >= 3)
     _, parent, order = bfs(g.adj, (root,))
     edges = {(min(v, parent[v]), max(v, parent[v])) for v in order[1:]}
-    if len(edges) == g.n - 1 and all(root in e for e in edges):
+    if all(root in e for e in edges):
         # BFS tree is a star, so root is adjacent to everything; g is not a
         # star, so it has an edge avoiding root. Reattach one endpoint.
         u, v = min(e for e in g.sorted_edges() if root not in e)
@@ -547,14 +548,14 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
 
 
 @lru_cache(maxsize=256)
-def _lone_peg_hops(g: Graph) -> tuple[dict[int, tuple], ...]:
+def _lone_peg_hops(g: Graph) -> tuple[MappingProxyType[int, tuple], ...]:
     """Where a lone peg goes in one hop: ``hops[u]`` maps each w to the first
     hop u -> w in scan order, 4-paths (u, p1, p2, w) first, then teleports
     among the class-A singleton positions a, b, d, e of each embedded H.
     A dict keeps first-insertion order, so ``bfs`` over it finds what it
     would over every hop. A row that holds all n - 1 targets takes no later
     hop, so the scan skips it and stops once every row is full. Built once
-    per graph, like ``_frame``."""
+    per graph, like ``_frame``, and every caller shares the read-only rows."""
     hops: list[dict[int, tuple]] = [{} for _ in range(g.n + 1)]
     for u in g.vertices():
         row = hops[u]
@@ -572,7 +573,7 @@ def _lone_peg_hops(g: Graph) -> tuple[dict[int, tuple], ...]:
         for d0 in g.adj[c0]:
             for e0 in g.adj[d0]:
                 if not unfilled:
-                    return tuple(hops)
+                    return tuple(map(MappingProxyType, hops))
                 if e0 == c0:
                     continue
                 rest = [x for x in g.adj[c0] if x not in (d0, e0)]
@@ -586,7 +587,7 @@ def _lone_peg_hops(g: Graph) -> tuple[dict[int, tuple], ...]:
                                 emb = emb or HEmbedding(rest[0], x, c0, d0, e0)
                                 row[w] = ("h", emb, w)
                                 unfilled -= len(row) == g.n - 1
-    return tuple(hops)
+    return tuple(map(MappingProxyType, hops))
 
 
 def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:

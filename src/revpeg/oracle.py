@@ -45,7 +45,9 @@ and at least k + 1 if it is D - k - 1 moves from the set.
 ``min_unjumps`` is the ``_route`` into the set of single-peg states. A jump
 removes one peg and an unjump adds one, so a solve from the one-hole start
 (n - 1 pegs) to one peg with u unjumps has n - 2 + 2u moves: the fewest
-unjumps are the fewest moves.
+unjumps are the fewest moves. The levels backward from that set depend on
+the graph alone, so a graph's holes share one search, kept until a call on
+another graph and extended only for a start that no level holds yet.
 """
 
 from __future__ import annotations
@@ -250,34 +252,37 @@ def _closure(g: Graph, start: int) -> int:
     return seen
 
 
-def _levels(g: Graph, sources: int, targets: int) -> list[int]:
-    """Breadth-first search over state sets from the set `sources`: the
-    levels L_0 = sources, L_1, ... up to the first that meets the set
-    `targets` (all of them when no target is reachable). The sources share
-    one peg count, so no move joins two states of a level and the next
+def _levels(g: Graph, levels: list[int], targets: int) -> int | None:
+    """Breadth-first search over state sets from the set levels[0]: the index
+    of the first level that meets the set `targets`, or None when no target
+    is reachable. `levels` holds the levels found so far and grows in place
+    past its last, so searches from the same sources share it. The sources
+    share one peg count, so no move joins two states of a level and the next
     frontier is the image of the last level less the one before it."""
-    levels, before = [sources], 0
-    while not levels[-1] & targets:
-        frontier = _image(levels[-1], g) & ~before
-        if not frontier:
-            break
+    for depth, level in enumerate(levels):
+        if level & targets:
+            return depth
+    before = levels[-2] if len(levels) > 1 else 0
+    while frontier := _image(levels[-1], g) & ~before:
         before = levels[-1]
         levels.append(frontier)
-    return levels
+        if frontier & targets:
+            return len(levels) - 1
+    return None
 
 
-def _route(g: Graph, start: int, targets: int) -> MoveSequence | None:
+def _route(g: Graph, start: int, back: list[int]) -> MoveSequence | None:
     """The lexicographically first fewest-move sequence from state `start`
-    into the set `targets`, or None when no target is reachable: a search
-    backward from `targets`, then a forward walk that takes, from the k-th
-    state, the first legal ``path_triples`` move into backward level
-    D - k - 1, which is k + 1 moves from `start` (see the module docstring)."""
-    back = _levels(g, targets, 1 << start)
-    if not _has(back[-1], start):
+    into the set back[0], or None when no target is reachable: the search
+    backward in `back` to the first level R_D holding `start`, then a forward
+    walk that takes, from the k-th state, the first legal ``path_triples``
+    move into R_(D-k-1), k + 1 moves from `start` (see the module docstring)."""
+    depth = _levels(g, back, 1 << start)
+    if depth is None:
         return None
     triples = path_triples(g)
     s, chain = start, []
-    for level in reversed(back[:-1]):
+    for level in reversed(back[:depth]):
         for x, y, z, mask, on_jump, on_unjump in triples:
             on = s & mask
             if (on == on_jump or on == on_unjump) and _has(level, s ^ mask):
@@ -296,7 +301,7 @@ def shortest_route(
         if not 0 <= mask < 1 << g.n:
             raise PreconditionFailed(f"peg mask {mask} is not a state on {g.n} vertices")
     check_budget(g.n, memory_budget, witness=True)
-    return _route(g, src, 1 << dst)
+    return _route(g, src, [1 << dst])
 
 
 def reachable_set(
@@ -337,6 +342,13 @@ def _single_peg_states(n: int):
     return [(1 << (v - 1), v) for v in range(1, n + 1)]
 
 
+@lru_cache(maxsize=1)
+def _single_peg_levels(g: Graph) -> list[int]:
+    """The levels of the search backward from g's single-peg states as far as
+    ``_levels`` has taken them, kept for the last graph asked about only."""
+    return [sum(1 << mask for mask, _ in _single_peg_states(g.n))]
+
+
 def solve_from(
     g: Graph, hole: int, memory_budget: int | None = None
 ) -> SolveResult | None:
@@ -355,7 +367,7 @@ def solve_from(
     end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if _has(seen, mask))
     if not end_pegs:
         return None
-    return SolveResult(end_pegs, _route(g, start, 1 << (1 << (min(end_pegs) - 1))))
+    return SolveResult(end_pegs, _route(g, start, [1 << (1 << (min(end_pegs) - 1))]))
 
 
 def witness_to(
@@ -418,8 +430,9 @@ def min_unjumps(
 
     A solve with u unjumps has n - 2 + 2u moves, so the witness is the
     ``_route`` into the set of single-peg states, and the count is its
-    unjumps (see the module docstring). Returns None when the start is not
-    solvable at all, at once when it has no legal move and more than one peg.
+    unjumps (see the module docstring); calls on one graph share that search.
+    Returns None when the start is not solvable at all, at once when it has
+    no legal move and more than one peg.
     """
     if not is_connected(g):
         raise DisconnectedGraph("min_unjumps requires a connected graph")
@@ -430,8 +443,7 @@ def min_unjumps(
     # hole over a neighbour that has another neighbour.
     if g.n > 2 and all(g.degree(y) == 1 for y in g.adj[hole]):
         return None
-    singles = sum(1 << mask for mask, _ in _single_peg_states(g.n))
-    witness = _route(g, ((1 << g.n) - 1) ^ (1 << (hole - 1)), singles)
+    witness = _route(g, ((1 << g.n) - 1) ^ (1 << (hole - 1)), _single_peg_levels(g))
     if witness is None:
         return None
     return MinUnjumpResult(witness.unjump_count(), witness)

@@ -10,11 +10,12 @@ and ``old`` must occur there exactly once. The script copies ``src``,
 ``tests`` and ``pyproject.toml`` into a temporary directory, checks that the
 test files named in the catalogue pass there unmutated, then applies each
 mutant in turn and runs ``pytest -x -q`` on the test files named for it. A
-mutant is killed when a test fails and survives when every test passes; the
-script prints which, with the time taken and the first failing test, and
-exits 1 if any survived. Equivalent mutants change no answer, so no test can
-kill them: they are listed with the reason, checked to apply exactly once,
-and not run.
+mutant is killed when a test fails, or when the run takes longer than
+``TIMEOUT_S`` (a mutant can make a search run forever), and survives when
+every test passes; the script prints which (a timeout as "timeout"), with
+the time taken and the first failing test, and exits 1 if any survived.
+Equivalent mutants change no answer, so no test can kill them: they are
+listed with the reason, checked to apply exactly once, and not run.
 
 pytest does not collect this file (its name does not start with ``test_``).
 """
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60  # the slowest named test file takes about 13 s unmutated
 
 
 class Mutant(NamedTuple):
@@ -42,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 CONSTRUCT = "construct.py"
+ORACLE = "oracle.py"
 KERNELS = ("test_construct_kernels.py",)
 
 CATALOGUE = [
@@ -69,6 +72,16 @@ CATALOGUE = [
            "    elif state == inner | b3:", "    elif True:", KERNELS),
     Mutant("within-h-pattern-check", CONSTRUCT,
            "        if pegs & mask != legal:", "        if False:", KERNELS),
+    Mutant("levels-frontier-less-level-before", ORACLE,
+           "    while frontier := _image(levels[-1], g) & ~before:",
+           "    while frontier := _image(levels[-1], g):", ("test_oracle.py",)),
+    Mutant("route-first-legal-triple", ORACLE,
+           "        for x, y, z, mask, on_jump, on_unjump in triples:",
+           "        for x, y, z, mask, on_jump, on_unjump in reversed(triples):",
+           ("test_kernel_differential.py",)),
+    Mutant("levels-lookup-first-level", ORACLE,
+           "            return depth\n", "            return len(levels) - 1\n",
+           ("test_kernel_differential.py",)),
     Mutant("cli-classify-cross-check", "cli.py",
            "    match = not census_mod.closed_form_mismatches(cls, order, v)",
            "    match = True", ("test_cli.py",)),
@@ -92,6 +105,11 @@ EQUIVALENT = [
             "    if not _pattern_ok(pegs, first):", "    if False:", ()),
      "on an odd line the hole shift ends the lone hole on vs[2] with pegs on vs[0] "
      "and vs[1], so the first jump is always legal and the check never fires"),
+    (Mutant("route-first-triple-break", ORACLE,
+            "                s ^= mask\n                break\n", "                s ^= mask\n", ()),
+     "a level's states share one peg-count parity and a move changes it, so once "
+     "the walk has moved into a level no later triple lands in that level again: "
+     "the break only saves the rest of the scan"),
 ]
 
 
@@ -102,12 +120,16 @@ def apply(text: str, m: Mutant) -> str:
     return text.replace(m.old, m.new)
 
 
-def pytest_run(work: Path, tests) -> tuple[int, float, str]:
+def pytest_run(work: Path, tests, timeout=None) -> tuple[int | None, float, str]:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            *(f"tests/{t}" for t in tests)]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - t0, ""
     return proc.returncode, time.perf_counter() - t0, proc.stdout + proc.stderr
 
 
@@ -138,16 +160,17 @@ def main(names: list[str]) -> int:
             original = path.read_text()
             path.write_text(apply(original, m))
             try:
-                code, took, out = pytest_run(work, m.tests)
+                code, took, out = pytest_run(work, m.tests, TIMEOUT_S)
             finally:
                 path.write_text(original)
-            if code not in (0, 1):
+            if code not in (0, 1, None):
                 print(out)
                 raise SystemExit(f"{m.name}: pytest exited {code}")
             survived += code == 0
             by = next((line.split()[1] for line in out.splitlines()
                        if line.startswith("FAILED ")), "")
-            print(f"{'survived' if code == 0 else 'killed':8}  {took:5.1f} s  {m.name}  {by}")
+            status = {0: "survived", 1: "killed", None: "timeout"}[code]
+            print(f"{status:8}  {took:5.1f} s  {m.name}  {by}")
     for m, why in EQUIVALENT:
         if not names or m.name in names:
             print(f"equivalent        {m.name}: {why}")

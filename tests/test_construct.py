@@ -508,6 +508,14 @@ class TestSolveConstructiveTo:
         ):
             solve_constructive_to(g, 2, target)
 
+    def test_routing_table_rows_are_read_only(self):
+        # Every caller shares the cached rows, so none may change them.
+        hops = _lone_peg_hops(cycle_graph(8))
+        with pytest.raises(TypeError):
+            hops[1][5] = ("p4", (1, 2, 3, 4))
+        with pytest.raises(TypeError):
+            del hops[1][4]
+
     @pytest.mark.parametrize("n", range(6, 13))
     def test_routing_table_keeps_one_hop_per_target(self, n):
         hops = _lone_peg_hops(complete_graph(n))

@@ -384,7 +384,10 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
     for hole in holes or g.vertices():
         start = full ^ (1 << (hole - 1))
         for targets in (0, singles):
-            assert _levels(g, 1 << start, targets) == ref_levels(g, start, targets)
+            levels = [1 << start]
+            depth = _levels(g, levels, targets)
+            assert levels == ref_levels(g, start, targets)
+            assert depth == (len(levels) - 1 if levels[-1] & targets else None)
         visited, parent_state, parent_triple = ref_witness_bfs(g, start)
         ends = frozenset(v for v in g.vertices() if visited[1 << (v - 1)])
         res = solve_from(g, hole)
@@ -525,6 +528,36 @@ def test_image_seeded_graphs():
     for _ in range(60):
         g = random_connected_graph(rng, rng.randint(6, 14), extra=rng.randint(0, 8))
         assert_image_agrees(g, rng, draws=3)
+
+
+def assert_interleaved_sweeps_agree(g1, g2):
+    """min_unjumps on every hole of two graphs, first interleaved (g1 h1,
+    g2 h1, g1 h2, ...), so that the one-graph cache of the search from the
+    single-peg states is evicted at every call, then each graph's holes in
+    a row and in reverse, so that shallower starts read a search that has
+    gone deeper: every answer is the reference's."""
+    calls = [(g, h) for h in range(1, max(g1.n, g2.n) + 1) for g in (g1, g2) if h <= g.n]
+    calls += [(g, h) for g in (g1, g2) for h in reversed(g.vertices())]
+    want = {}
+    for g, hole in calls:
+        if (g, hole) not in want:
+            ref = ref_min_unjumps(g, hole)
+            want[g, hole] = ref and (ref[0], ref_single_peg_witness(g, hole))
+        got = min_unjumps(g, hole)
+        assert (got and (got.count, got.witness)) == want[g, hole], (g, hole)
+
+
+def test_interleaved_sweeps_all_labeled_graphs():
+    graphs = [g for n in range(2, 6) for g in labeled_connected_graphs(n)]
+    for g1, g2 in zip(graphs[::2], graphs[1::2]):
+        assert_interleaved_sweeps_agree(g1, g2)
+
+
+def test_interleaved_sweeps_seeded_graphs():
+    rng = random.Random(612)
+    for n in range(6, 13):
+        g1, g2 = (random_connected_graph(rng, n, extra=rng.randint(0, 6)) for _ in range(2))
+        assert_interleaved_sweeps_agree(g1, g2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

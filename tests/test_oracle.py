@@ -470,6 +470,19 @@ class TestMinUnjumps:
         assert min_unjumps(star_graph(14), 2) is None  # a leaf hole has a move
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("g", [cycle_graph(12), path_graph(14)], ids=["cycle:12", "path:14"])
+    def test_every_hole_sweep_shares_one_search(self, monkeypatch, g):
+        # A solve's witness has as many moves as its start is levels deep
+        # in the search from the single-peg states, and an unreachable
+        # start costs one more image: the one that finds the search done.
+        calls = []
+        real = oracle._image
+        monkeypatch.setattr(oracle, "_image", lambda *a: calls.append(a) or real(*a))
+        oracle._single_peg_levels.cache_clear()
+        results = [min_unjumps(g, hole) for hole in g.vertices()]
+        deepest = max(len(res.witness) for res in results if res is not None)
+        assert len(calls) <= deepest + results.count(None)
+
     def test_p3_hole3_witness(self):
         res = min_unjumps(path_graph(3), 3)
         assert res is not None
