@@ -7,7 +7,10 @@ order of the vertices, until every centre has been applied to the current
 set without adding a state: that set is closed under moves, so it is the
 fixpoint. Witnesses and ``min_unjumps`` come from one level search,
 breadth-first over sets: every move changes the peg count by one, so the
-next frontier is the image of the last one less the level before it.
+next frontier is the image of the last one less the level before it, and
+each level holds states of one peg-count parity p. Levels are kept at half
+width: state s sits at index s >> 1, as its bit 0 is p xor the parity of
+s >> 1. Reachable sets hold both parities and stay at full width.
 
 The image rests on the "x != z" form of ``model``'s move rule. On a path
 x-y-z, the legal patterns of bits (x, y, z) are 110 and 001 (a jump and an
@@ -20,7 +23,8 @@ z = 1 by the opposite shift. Flipping bit y afterwards is one more pair of
 shifts, applied once per centre y to the union over its neighbour pairs:
 the states with a peg on y make a jump, the others an unjump. One kernel,
 ``_flips``, makes a centre's pair shifts for ``_image`` and ``_closure``,
-cut with the per-bit masks M_b: the states whose bit b is set.
+cut with the per-bit masks M_b: the states whose bit b is set (at half
+width, ``_parity_masks``).
 
 Because every move is invertible, reachability is symmetric and reachable
 sets are exactly the equivalence classes of mutual reachability;
@@ -54,8 +58,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, cycle
+from operator import xor
 
 from .errors import CapacityExceeded, DisconnectedGraph, PreconditionFailed
 from .model import (
@@ -78,7 +83,8 @@ DEFAULT_MEMORY_BUDGET = 2 << 30
 # member lists and queue slack) and reports show them as estimated_bytes,
 # so they stay fixed. They remain an upper bound on what the set searches
 # hold: the n cached per-bit masks and a few working sets; a level search
-# adds n per-bit slices of the level being moved and one set per level.
+# holds each parity's n half-width masks, which share n - 1 sets, one
+# half-width set per level and a few half-width working sets.
 _BYTES_PER_STATE_SCAN = 24
 _BYTES_PER_STATE_WITNESS = 48
 
@@ -174,24 +180,38 @@ def _bit_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=4)
+def _parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per peg-count parity p, the masks M_b of the 2^(n-1) states of parity
+    p at half width, where state s sits at index s >> 1: for b >= 1 the
+    indices with bit b - 1 set, and for b = 0, whose bit is p xor the parity
+    of the index, the indices whose own parity is not p."""
+    bits = _bit_masks(n - 1)
+    odd = reduce(xor, bits, 0)  # the indices of odd parity
+    every = (1 << (1 << (n - 1))) - 1
+    return (odd,) + bits, (every ^ odd,) + bits
+
+
 @lru_cache(maxsize=256)
-def _centres(g: Graph) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
-    """(y - 1, 2^(y-1), pairs) per vertex y with two or more neighbours,
-    where pairs holds (x - 1, z - 1, 2^(z-1) - 2^(x-1)) per neighbour pair
-    x < z: the unordered path triples centred at y. The vertices come in the
-    order of a BFS from the vertex that a BFS from vertex 1 reaches last,
-    then the vertices it does not reach, by label: ``_closure``'s order."""
+def _centres(g: Graph) -> tuple[tuple[int, int, tuple, int, tuple], ...]:
+    """(y - 1, 2^(y-1), pairs, 2^(y-1) >> 1, half_pairs) per vertex y with
+    two or more neighbours, where pairs holds (x - 1, z - 1, 2^(z-1) -
+    2^(x-1)) per neighbour pair x < z, the unordered path triples centred at
+    y, and half_pairs the same with the shift at half width, (shift + 1) >> 1.
+    The vertices come in the order of a BFS from the vertex that a BFS from
+    vertex 1 reaches last, then the others, by label: ``_closure``'s order."""
     dist, _, order = bfs(g.adj, bfs(g.adj, (1,))[2][-1:])
     out = []
     for y in order + [v for v in g.vertices() if dist[v] < 0]:
         nb = g.adj[y]
         if len(nb) >= 2:
-            pairs = tuple(
+            pairs = [
                 (x - 1, z - 1, (1 << (z - 1)) - (1 << (x - 1)))
                 for i, x in enumerate(nb)
                 for z in nb[i + 1 :]
-            )
-            out.append((y - 1, 1 << (y - 1), pairs))
+            ]
+            half_pairs = tuple([(x, z, (shift + 1) >> 1) for x, z, shift in pairs])
+            out.append((y - 1, 1 << (y - 1), tuple(pairs), 1 << (y - 1) >> 1, half_pairs))
     return tuple(out)
 
 
@@ -208,11 +228,13 @@ def _flips(states: int, masks: tuple[int, ...], pairs) -> int:
     return flipped
 
 
-def _image(states: int, g: Graph) -> int:
-    """The states one legal move away from some state in `states`."""
-    masks = _bit_masks(g.n)
+def _image(states: int, parity: int, g: Graph) -> int:
+    """The states one legal move away from some state in `states`, a set of
+    states of peg-count parity `parity` at half width (see ``_parity_masks``):
+    the image holds states of the other parity, at half width too."""
+    masks = _parity_masks(g.n)[parity]
     image = 0
-    for y, y_shift, pairs in _centres(g):
+    for y, _, _, y_shift, pairs in _centres(g):
         flipped = _flips(states, masks, pairs)
         up = flipped & masks[y]  # a peg on y: the move is a jump
         image |= up >> y_shift | (flipped ^ up) << y_shift
@@ -239,9 +261,11 @@ def _closure(g: Graph, start: int) -> int:
     every move, so it is the whole reachable set ({start} with no centre)."""
     masks = _bit_masks(g.n)
     centres = _centres(g)
-    every = sum(y_shift for _, y_shift, _ in centres)  # the centres' vertex bits
+    every = sum(y_shift for _, y_shift, *_ in centres)  # the centres' vertex bits
     seen, quiet = 1 << start, 0  # quiet: those of centres that added nothing to seen
-    for y, y_shift, pairs in cycle(centres + centres[-2:0:-1]):  # c_0 .. c_(k-1) .. c_1
+    for y, y_shift, pairs, _, _ in cycle(centres + centres[-2:0:-1]):  # c_0 .. c_(k-1) .. c_1
+        if quiet & y_shift:
+            continue  # already applied to this very set
         flipped = _flips(seen, masks, pairs)
         up = flipped & masks[y]  # a peg on y: the move is a jump
         grown = seen | up >> y_shift | (flipped ^ up) << y_shift
@@ -252,32 +276,35 @@ def _closure(g: Graph, start: int) -> int:
     return seen
 
 
-def _levels(g: Graph, levels: list[int], targets: int) -> int | None:
-    """Breadth-first search over state sets from the set levels[0]: the index
-    of the first level that meets the set `targets`, or None when no target
-    is reachable. `levels` holds the levels found so far and grows in place
-    past its last, so searches from the same sources share it. The sources
-    share one peg count, so no move joins two states of a level and the next
-    frontier is the image of the last level less the one before it."""
-    for depth, level in enumerate(levels):
-        if level & targets:
+def _levels(g: Graph, levels: list[int], parity: int, start: int) -> int | None:
+    """Breadth-first search over state sets from the set levels[0] of states
+    of parity `parity`: the index of the first level that holds state
+    `start`, or None when the search ends without it. Level k holds states
+    of parity `parity` xor k mod 2, at half width, so only every other level
+    can hold `start`. `levels` grows in place past its last level, so
+    searches from the same sources share it; an ended search keeps an empty
+    last level. No move joins two states of a level, so the next frontier is
+    the image of the last level less the one before it."""
+    first, at = (parity ^ start.bit_count()) & 1, start >> 1
+    for depth in range(first, len(levels), 2):
+        if levels[depth] >> at & 1:
             return depth
-    before = levels[-2] if len(levels) > 1 else 0
-    while frontier := _image(levels[-1], g) & ~before:
-        before = levels[-1]
-        levels.append(frontier)
-        if frontier & targets:
-            return len(levels) - 1
+    while levels[-1]:
+        depth = len(levels)
+        before = levels[-2] if depth > 1 else 0
+        levels.append(_image(levels[-1], parity ^ (depth - 1) % 2, g) & ~before)
+        if depth % 2 == first and levels[depth] >> at & 1:
+            return depth
     return None
 
 
-def _route(g: Graph, start: int, back: list[int]) -> MoveSequence | None:
+def _route(g: Graph, start: int, back: list[int], parity: int) -> MoveSequence | None:
     """The lexicographically first fewest-move sequence from state `start`
-    into the set back[0], or None when no target is reachable: the search
-    backward in `back` to the first level R_D holding `start`, then a forward
-    walk that takes, from the k-th state, the first legal ``path_triples``
-    move into R_(D-k-1), k + 1 moves from `start` (see the module docstring)."""
-    depth = _levels(g, back, 1 << start)
+    into the set back[0] of states of parity `parity`, or None when none is
+    reachable: the search backward in `back` to the first level R_D holding
+    `start`, then a forward walk that takes, from the k-th state, the first
+    legal ``path_triples`` move into R_(D-k-1) (see the module docstring)."""
+    depth = _levels(g, back, parity, start)
     if depth is None:
         return None
     triples = path_triples(g)
@@ -285,7 +312,7 @@ def _route(g: Graph, start: int, back: list[int]) -> MoveSequence | None:
     for level in reversed(back[:depth]):
         for x, y, z, mask, on_jump, on_unjump in triples:
             on = s & mask
-            if (on == on_jump or on == on_unjump) and _has(level, s ^ mask):
+            if (on == on_jump or on == on_unjump) and level >> ((s ^ mask) >> 1) & 1:
                 chain.append(Move(JUMP if on == on_jump else UNJUMP, x, y, z))
                 s ^= mask
                 break
@@ -301,7 +328,7 @@ def shortest_route(
         if not 0 <= mask < 1 << g.n:
             raise PreconditionFailed(f"peg mask {mask} is not a state on {g.n} vertices")
     check_budget(g.n, memory_budget, witness=True)
-    return _route(g, src, [1 << dst])
+    return _route(g, src, [1 << (dst >> 1)], dst.bit_count() & 1)
 
 
 def reachable_set(
@@ -324,9 +351,10 @@ def equivalence_partition(
     """
     check_budget(g.n, memory_budget)
     every = (1 << (1 << g.n)) - 1
-    # Every move is invertible, so the states one move from some state are
-    # those with a legal move.
-    movable = _image(every, g)
+    masks = _bit_masks(g.n)
+    movable = 0  # a state has a legal move exactly when some 3-path's ends differ
+    for x, z in {(x, z) for *_, pairs, _, _ in _centres(g) for x, z, _ in pairs}:
+        movable |= masks[x] ^ masks[z]
     blocks = {s: frozenset((s,)) for s in _members(every ^ movable)}
     while movable:
         # the smallest state left is the smallest of its class, which
@@ -346,7 +374,7 @@ def _single_peg_states(n: int):
 def _single_peg_levels(g: Graph) -> list[int]:
     """The levels of the search backward from g's single-peg states as far as
     ``_levels`` has taken them, kept for the last graph asked about only."""
-    return [sum(1 << mask for mask, _ in _single_peg_states(g.n))]
+    return [sum(1 << (mask >> 1) for mask, _ in _single_peg_states(g.n))]
 
 
 def solve_from(
@@ -367,7 +395,8 @@ def solve_from(
     end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if _has(seen, mask))
     if not end_pegs:
         return None
-    return SolveResult(end_pegs, _route(g, start, [1 << (1 << (min(end_pegs) - 1))]))
+    target = 1 << (min(end_pegs) - 1)
+    return SolveResult(end_pegs, _route(g, start, [1 << (target >> 1)], 1))
 
 
 def witness_to(
@@ -443,7 +472,7 @@ def min_unjumps(
     # hole over a neighbour that has another neighbour.
     if g.n > 2 and all(g.degree(y) == 1 for y in g.adj[hole]):
         return None
-    witness = _route(g, ((1 << g.n) - 1) ^ (1 << (hole - 1)), _single_peg_levels(g))
+    witness = _route(g, ((1 << g.n) - 1) ^ (1 << (hole - 1)), _single_peg_levels(g), 1)
     if witness is None:
         return None
     return MinUnjumpResult(witness.unjump_count(), witness)

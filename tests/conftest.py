@@ -3,6 +3,7 @@ import random
 import pytest
 
 from revpeg.model import Configuration, Graph
+from revpeg.oracle import _image, _members
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int = 2) -> Graph:
@@ -54,6 +55,25 @@ def subdivided_graph(rng, k):
 
 def random_configuration(rng: random.Random, n: int) -> Configuration:
     return Configuration(n, rng.randrange(1 << n))
+
+
+def to_half(states: int, parity: int) -> int:
+    """The states of peg-count parity `parity` in the set `states` (bit s
+    for state s), at the oracle's half width: state s at index s >> 1."""
+    return sum(1 << (s >> 1) for s in _members(states) if s.bit_count() % 2 == parity)
+
+
+def from_half(half: int, parity: int) -> int:
+    """The set (bit s for state s) of the states of parity `parity` that the
+    half-width set `half` holds: index h is the state whose bits above bit 0
+    are h and whose peg count has that parity."""
+    return sum(1 << (h << 1 | (parity ^ h.bit_count() % 2)) for h in _members(half))
+
+
+def image_of(states: int, g: Graph) -> int:
+    """The oracle's ``_image`` of a set of states of either parity: each
+    parity's states at half width, their images translated back."""
+    return sum(from_half(_image(to_half(states, p), p, g), 1 - p) for p in (0, 1))
 
 
 @pytest.fixture

@@ -9,11 +9,13 @@ Each mutant replaces the text ``old`` by ``new`` in one file under ``src/``,
 and ``old`` must occur there exactly once. The script copies ``src``,
 ``tests`` and ``pyproject.toml`` into a temporary directory, checks that the
 test files named in the catalogue pass there unmutated, then applies each
-mutant in turn and runs ``pytest -x -q`` on the test files named for it. A
-mutant is killed when a test fails, or when the run takes longer than
-``TIMEOUT_S`` (a mutant can make a search run forever), and survives when
-every test passes; the script prints which (a timeout as "timeout"), with
-the time taken and the first failing test, and exits 1 if any survived.
+mutant in turn and runs ``pytest -x -q`` on the test files named for it,
+with its address space capped at ``MEMORY_CAP``. A mutant is killed when a
+test fails, when the run takes longer than ``TIMEOUT_S`` or when it dies of
+the memory cap (a mutant can make a search run forever, growing as it
+goes), and survives when every test passes; the script prints which (a
+timeout as "timeout", a memory death as "memory"), with the time taken and
+the first failing test, and exits 1 if any survived.
 Equivalent mutants change no answer, so no test can kill them: they are
 listed with the reason, checked to apply exactly once, and not run.
 
@@ -23,6 +25,7 @@ pytest does not collect this file (its name does not start with ``test_``).
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -33,6 +36,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 60  # the slowest named test file takes about 13 s unmutated
+MEMORY_CAP = 256 << 20  # bytes; every named test file passes unmutated under 128 MiB
 
 
 class Mutant(NamedTuple):
@@ -73,14 +77,33 @@ CATALOGUE = [
     Mutant("within-h-pattern-check", CONSTRUCT,
            "        if pegs & mask != legal:", "        if False:", KERNELS),
     Mutant("levels-frontier-less-level-before", ORACLE,
-           "    while frontier := _image(levels[-1], g) & ~before:",
-           "    while frontier := _image(levels[-1], g):", ("test_oracle.py",)),
+           "(depth - 1) % 2, g) & ~before)", "(depth - 1) % 2, g))", ("test_oracle.py",)),
     Mutant("route-first-legal-triple", ORACLE,
            "        for x, y, z, mask, on_jump, on_unjump in triples:",
            "        for x, y, z, mask, on_jump, on_unjump in reversed(triples):",
            ("test_kernel_differential.py",)),
+    Mutant("route-walk-full-width-index", ORACLE,
+           "level >> ((s ^ mask) >> 1) & 1", "level >> (s ^ mask) & 1",
+           ("test_kernel_differential.py",)),
     Mutant("levels-lookup-first-level", ORACLE,
-           "            return depth\n", "            return len(levels) - 1\n",
+           "        if levels[depth] >> at & 1:\n            return depth\n",
+           "        if levels[depth] >> at & 1:\n            return len(levels) - 1\n",
+           ("test_kernel_differential.py",)),
+    # a level of the other parity can hold index start >> 1: the state that
+    # differs from the start in vertex 1 alone
+    Mutant("levels-lookup-every-level", ORACLE,
+           "    for depth in range(first, len(levels), 2):",
+           "    for depth in range(len(levels)):", ("test_kernel_differential.py",)),
+    Mutant("levels-new-level-either-parity", ORACLE,
+           "        if depth % 2 == first and levels[depth] >> at & 1:",
+           "        if levels[depth] >> at & 1:", ("test_kernel_differential.py",)),
+    Mutant("parity-masks-swapped", ORACLE,
+           "    return (odd,) + bits, (every ^ odd,) + bits",
+           "    return (every ^ odd,) + bits, (odd,) + bits", ("test_kernel_differential.py",)),
+    Mutant("half-pair-shift-rounding", ORACLE,
+           "(x, z, (shift + 1) >> 1)", "(x, z, shift >> 1)", ("test_kernel_differential.py",)),
+    Mutant("movable-drops-a-pair", ORACLE,
+           "_centres(g) for x, z, _ in pairs}", "_centres(g) for x, z, _ in pairs[1:]}",
            ("test_kernel_differential.py",)),
     Mutant("cli-classify-cross-check", "cli.py",
            "    match = not census_mod.closed_form_mismatches(cls, order, v)",
@@ -105,6 +128,11 @@ EQUIVALENT = [
             "    if not _pattern_ok(pegs, first):", "    if False:", ()),
      "on an odd line the hole shift ends the lone hole on vs[2] with pegs on vs[0] "
      "and vs[1], so the first jump is always legal and the check never fires"),
+    (Mutant("closure-skip-quiet-centre", ORACLE,
+            "        if quiet & y_shift:\n            continue", "        if False:\n            continue",
+            ()),
+     "a centre whose quiet bit is set was applied to the current set and added nothing, "
+     "so applying it again adds nothing either: the skip only saves that pass"),
     (Mutant("route-first-triple-break", ORACLE,
             "                s ^= mask\n                break\n", "                s ^= mask\n", ()),
      "a level's states share one peg-count parity and a move changes it, so once "
@@ -120,6 +148,10 @@ def apply(text: str, m: Mutant) -> str:
     return text.replace(m.old, m.new)
 
 
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def pytest_run(work: Path, tests, timeout=None) -> tuple[int | None, float, str]:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -127,7 +159,7 @@ def pytest_run(work: Path, tests, timeout=None) -> tuple[int | None, float, str]
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=timeout, preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
         return None, time.perf_counter() - t0, ""
     return proc.returncode, time.perf_counter() - t0, proc.stdout + proc.stderr
@@ -163,13 +195,16 @@ def main(names: list[str]) -> int:
                 code, took, out = pytest_run(work, m.tests, TIMEOUT_S)
             finally:
                 path.write_text(original)
-            if code not in (0, 1, None):
+            # a memory death is a MemoryError that pytest could not report
+            # as a test failure, or a kill by signal
+            died = code not in (0, 1, None) and (code < 0 or "MemoryError" in out)
+            if code not in (0, 1, None) and not died:
                 print(out)
                 raise SystemExit(f"{m.name}: pytest exited {code}")
             survived += code == 0
             by = next((line.split()[1] for line in out.splitlines()
                        if line.startswith("FAILED ")), "")
-            status = {0: "survived", 1: "killed", None: "timeout"}[code]
+            status = "memory" if died else {0: "survived", 1: "killed", None: "timeout"}[code]
             print(f"{status:8}  {took:5.1f} s  {m.name}  {by}")
     for m, why in EQUIVALENT:
         if not names or m.name in names:

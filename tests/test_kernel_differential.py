@@ -5,13 +5,15 @@ the parent-pointer BFS with its rebuild, the class-sweep BFS, the 0/1-cost
 deque search of min_unjumps, the per-state move generator, the
 hand-written within-H route search, the union of set-BFS levels that gave
 reachable sets before the closure sweeps, the set-BFS levels that took
-out every state seen, and the image of a state set from per-bit slices
-that ``_image`` used before it shared ``_flips`` with ``_closure``. They
-keep the earlier code apart from names, so the kernels in
-``revpeg.oracle`` must reproduce their images, end sets, levels,
-witnesses, unjump counts, end pegs, partitions, classifications and routes
-exactly. The level references use ``ref_image``, so the closure is never
-checked against the kernel it runs on.
+out every state seen, and the full-width image of a state set from
+per-bit slices that ``_image`` used before it shared ``_flips`` with
+``_closure`` and before it moved each level at half width, on the states
+of one peg-count parity. They keep the earlier code apart from names, so
+the kernels in ``revpeg.oracle`` must reproduce their images, end sets,
+levels, witnesses, unjump counts, end pegs, partitions, classifications
+and routes exactly; half-width sets are translated to full width by
+``conftest.from_half`` first. The level references use ``ref_image``, so
+the closure is never checked against the kernel it runs on.
 
 Every oracle witness follows one rule, ``min_unjumps``'s included: a FIFO
 search over single states from the start, scanning triples in order and
@@ -32,7 +34,7 @@ from collections import deque
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import from_half, random_connected_graph, to_half
 from revpeg.census import labeled_connected_graphs
 from revpeg.errors import NotSameClass
 from revpeg.families import cycle_graph, h_graph, path_graph, star_graph
@@ -261,7 +263,7 @@ def ref_image(states, g):
     masks = _bit_masks(g.n)
     on = [states & m for m in masks]  # on[b]: the states with bit b set
     image = 0
-    for y, y_shift, pairs in _centres(g):
+    for y, y_shift, pairs, _, _ in _centres(g):
         flipped = 0  # the movable states with bits x and z flipped
         for x, z, shift in pairs:
             both = on[x] & masks[z]
@@ -380,14 +382,24 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
                     if visited[dst] else None)
             assert shortest_route(g, src, dst) == want
     full = (1 << g.n) - 1
-    singles = sum(1 << (1 << (v - 1)) for v in g.vertices())
     for hole in holes or g.vertices():
         start = full ^ (1 << (hole - 1))
-        for targets in (0, singles):
-            levels = [1 << start]
-            depth = _levels(g, levels, targets)
-            assert levels == ref_levels(g, start, targets)
-            assert depth == (len(levels) - 1 if levels[-1] & targets else None)
+        parity = start.bit_count() % 2
+        shared = [to_half(1 << start, parity)]
+        every_level = ref_levels(g, start, 0)
+        # state 0 has no peg, so no move reaches it: its search runs dry
+        for target in [1 << (v - 1) for v in g.vertices()] + [0]:
+            levels = [to_half(1 << start, parity)]
+            depth = _levels(g, levels, parity, target)
+            # ref_levels(g, start, 1 << target), cut from the whole search
+            want = next((every_level[: k + 1] for k, level in enumerate(every_level)
+                         if level >> target & 1), every_level)
+            found = want[-1] >> target & 1
+            # a search that ran dry keeps an empty last level
+            assert [from_half(level, parity ^ k % 2) for k, level in enumerate(levels)] == (
+                want if found else want + [0])
+            assert depth == (len(want) - 1 if found else None)
+            assert _levels(g, shared, parity, target) == depth
         visited, parent_state, parent_triple = ref_witness_bfs(g, start)
         ends = frozenset(v for v in g.vertices() if visited[1 << (v - 1)])
         res = solve_from(g, hole)
@@ -500,13 +512,19 @@ def test_closure_without_centres_or_connectivity(g):
 
 
 def assert_image_agrees(g, rng, draws=8):
-    """``_image`` against ``ref_image`` on the empty set, every state, one
+    """``_image`` of each parity's states, at half width, against
+    ``ref_image`` of the same states: on the empty set, every state, one
     state and seeded random sets of states."""
     every = (1 << (1 << g.n)) - 1
     sets = [0, every, 1 << rng.randrange(1 << g.n)]
     sets += [rng.getrandbits(1 << g.n) for _ in range(draws)]
     for states in sets:
-        assert _image(states, g) == ref_image(states, g), (g.sorted_edges(), states)
+        halves = [to_half(states, parity) for parity in (0, 1)]
+        assert from_half(halves[0], 0) | from_half(halves[1], 1) == states
+        for parity, half in enumerate(halves):
+            want = ref_image(from_half(half, parity), g)
+            assert from_half(_image(half, parity, g), 1 - parity) == want, (
+                g.sorted_edges(), states, parity)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

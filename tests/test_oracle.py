@@ -32,9 +32,9 @@ from revpeg.oracle import (
     solve_from,
     witness_to,
 )
-from revpeg.oracle import _bit_masks, _centres, _image, _members
+from revpeg.oracle import _bit_masks, _centres, _members
 
-from conftest import random_connected_graph
+from conftest import image_of, random_connected_graph
 
 # Frozen equivalence classes of configurations on H (letters a..e = 1..5).
 CLASS_A = "a b d e ac bc cd abe ade bde abcd abce acde bcde".split()
@@ -139,18 +139,23 @@ class TestStateSets:
             want = {
                 s ^ m.mask() for s in states for m in legal_moves(g, Configuration(n, s))
             }
-            got = _members(_image(sum(1 << s for s in states), g))
+            got = _members(image_of(sum(1 << s for s in states), g))
             assert got == sorted(want), (g.sorted_edges(), states)
 
     def test_centres_follow_a_bfs_order(self):
         # a BFS from vertex 1 of path:6 reaches 6 last, and a BFS from 6
         # meets the centres in the order 5, 4, 3, 2
-        assert [(y + 1, y_bit) for y, y_bit, _ in _centres(path_graph(6))] == [
+        assert [(y + 1, y_bit) for y, y_bit, *_ in _centres(path_graph(6))] == [
             (5, 16), (4, 8), (3, 4), (2, 2)]
+        # at half width vertex 1's bit is implicit, so the pair 1-3 around
+        # centre 2 moves a state by vertex 3's half-width bit alone, 2, and
+        # every other shift halves
+        assert [(y_half, half_pairs) for *_, y_half, half_pairs in _centres(path_graph(6))] == [
+            (8, ((3, 5, 12),)), (4, ((2, 4, 6),)), (2, ((1, 3, 3),)), (1, ((0, 2, 2),))]
         # the centres of the triangle, which the BFS does not reach, follow
         # by label
         g = Graph(7, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
-        assert [y + 1 for y, _, _ in _centres(g)] == [3, 2, 5, 6, 7]
+        assert [y + 1 for y, *_ in _centres(g)] == [3, 2, 5, 6, 7]
         assert _centres(Graph(3, [(1, 2)])) == ()
 
     def test_edgeless_partition_is_fast(self):
@@ -473,15 +478,16 @@ class TestMinUnjumps:
     @pytest.mark.parametrize("g", [cycle_graph(12), path_graph(14)], ids=["cycle:12", "path:14"])
     def test_every_hole_sweep_shares_one_search(self, monkeypatch, g):
         # A solve's witness has as many moves as its start is levels deep
-        # in the search from the single-peg states, and an unreachable
-        # start costs one more image: the one that finds the search done.
+        # in the search from the single-peg states, and the unreachable
+        # starts cost one more image between them: the one that finds the
+        # search done, which the levels then record.
         calls = []
         real = oracle._image
         monkeypatch.setattr(oracle, "_image", lambda *a: calls.append(a) or real(*a))
         oracle._single_peg_levels.cache_clear()
         results = [min_unjumps(g, hole) for hole in g.vertices()]
         deepest = max(len(res.witness) for res in results if res is not None)
-        assert len(calls) <= deepest + results.count(None)
+        assert len(calls) <= deepest + 1
 
     def test_p3_hole3_witness(self):
         res = min_unjumps(path_graph(3), 3)
