@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: classify, solve, verify, table, census. All structured output
-is a single JSON report (sorted keys, so identical inputs give identical
-bytes); --format text renders the same report as prose. Exit codes: 0 ok,
-1 usage or parse error, 2 verdict mismatch / invariant violation / invalid
-witness, 3 capacity exceeded. The argument parser is built once per process
-and reused, so main() may be called repeatedly with byte-identical reports.
+is a single JSON report: exactly the bytes of
+``json.dumps(report, indent=2, sort_keys=True)``, written by ``_render_json``
+(sorted keys, so identical inputs give identical bytes). --format text
+renders the same report as prose. Exit codes: 0 ok, 1 usage or parse error,
+2 verdict mismatch / invariant violation / invalid witness, 3 capacity
+exceeded. The argument parser is built once per process and reused, so
+main() may be called repeatedly with byte-identical reports.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import census as census_mod
 from .construct import solve_constructive, solve_constructive_to
@@ -349,6 +352,29 @@ def cmd_census(args, report: dict) -> int:
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
+def _render_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, written directly, since
+    json's encoder falls back to pure Python when it indents. Ints go through
+    ``int.__repr__`` and strs through json's C escaper; every other scalar goes
+    to ``json.dumps``. Dict keys must be ``str`` (else ``TypeError``). `pad`
+    is a newline and the indent of the enclosing container."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if type(obj) is str:
+        return _json_str(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_render_json(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_json_str(k)}: {_render_json(obj[k], inner)}" for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(obj)
+
+
 def _render_text(obj, indent=0) -> list[str]:
     pad = "  " * indent
     lines = []
@@ -476,7 +502,7 @@ def main(argv=None) -> int:
         report["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
     report["exit_code"] = code
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_render_json(report))
     else:
         print("\n".join(_render_text(report)))
     return code

@@ -9,8 +9,10 @@ Each mutant replaces the text ``old`` by ``new`` in one file under ``src/``,
 and ``old`` must occur there exactly once. The script copies ``src``,
 ``tests`` and ``pyproject.toml`` into a temporary directory, checks that the
 test files named in the catalogue pass there unmutated, then applies each
-mutant in turn and runs ``pytest -x -q`` on the test files named for it,
-with its address space capped at ``MEMORY_CAP``. A mutant is killed when a
+mutant in turn and runs ``pytest -x -q`` on the test files named for it, in
+the order named, with its address space capped at ``MEMORY_CAP``. A name may
+be a test id (``file::test``): that test runs first, so a mutant that makes
+later tests of the file hang is caught by it. A mutant is killed when a
 test fails, when the run takes longer than ``TIMEOUT_S`` or when it dies of
 the memory cap (a mutant can make a search run forever, growing as it
 goes), and survives when every test passes; the script prints which (a
@@ -44,7 +46,7 @@ class Mutant(NamedTuple):
     file: str  # relative to src/revpeg
     old: str
     new: str
-    tests: tuple[str, ...]  # relative to tests/
+    tests: tuple[str, ...]  # relative to tests/, files or test ids, run in order
 
 
 CONSTRUCT = "construct.py"
@@ -76,8 +78,12 @@ CATALOGUE = [
            "    elif state == inner | b3:", "    elif True:", KERNELS),
     Mutant("within-h-pattern-check", CONSTRUCT,
            "        if pegs & mask != legal:", "        if False:", KERNELS),
+    # without the frontier rule a search never runs dry: the tests below it
+    # hang on their first unreachable target, so a reachable search comes first
     Mutant("levels-frontier-less-level-before", ORACLE,
-           "(depth - 1) % 2, g) & ~before)", "(depth - 1) % 2, g))", ("test_oracle.py",)),
+           "(depth - 1) % 2, g) & ~before)", "(depth - 1) % 2, g))",
+           ("test_kernel_differential.py::test_levels_from_the_single_peg_states",
+            "test_oracle.py")),
     Mutant("route-first-legal-triple", ORACLE,
            "        for x, y, z, mask, on_jump, on_unjump in triples:",
            "        for x, y, z, mask, on_jump, on_unjump in reversed(triples):",
@@ -101,7 +107,9 @@ CATALOGUE = [
            "    return (odd,) + bits, (every ^ odd,) + bits",
            "    return (every ^ odd,) + bits, (odd,) + bits", ("test_kernel_differential.py",)),
     Mutant("half-pair-shift-rounding", ORACLE,
-           "(x, z, (shift + 1) >> 1)", "(x, z, shift >> 1)", ("test_kernel_differential.py",)),
+           "(x, z, (shift + 1) >> 1)", "(x, z, shift >> 1)",
+           ("test_kernel_differential.py::test_image_all_labeled_graphs",
+            "test_kernel_differential.py")),
     Mutant("movable-drops-a-pair", ORACLE,
            "_centres(g) for x, z, _ in pairs}", "_centres(g) for x, z, _ in pairs[1:]}",
            ("test_kernel_differential.py",)),
@@ -115,6 +123,10 @@ CATALOGUE = [
            '            row["match"] = not census_mod.closed_form_mismatches(',
            '            row["match"] = True or not census_mod.closed_form_mismatches(',
            ("test_cli.py",)),
+    Mutant("render-json-unsorted-keys", "cli.py",
+           "for k in sorted(obj)]", "for k in obj]", ("test_cli_golden.py",)),
+    Mutant("render-json-item-separator", "cli.py",
+           '("," + inner).join(items)', '(", " + inner).join(items)', ("test_cli_golden.py",)),
     Mutant("closed-form-end-comparison", "census.py",
            "        if cls.matrix[h] != want_ends:", "        if False:", ("test_census.py",)),
     Mutant("replay-pattern-check", "model.py",
@@ -154,8 +166,9 @@ def cap_memory() -> None:
 
 def pytest_run(work: Path, tests, timeout=None) -> tuple[int | None, float, str]:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    # --keep-duplicates: a test id named before its file runs first, then again
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           *(f"tests/{t}" for t in tests)]
+           "--keep-duplicates", *(f"tests/{t}" for t in tests)]
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True,
@@ -180,7 +193,7 @@ def main(names: list[str]) -> int:
         for d in ("src", "tests"):
             shutil.copytree(ROOT / d, work / d, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
-        files = sorted({t for m in chosen for t in m.tests})
+        files = sorted({t.split("::")[0] for m in chosen for t in m.tests})
         if files:
             code, took, out = pytest_run(work, files)
             if code != 0:

@@ -286,10 +286,10 @@ def ref_level_closure(g, start):
     return seen
 
 
-def ref_levels(g, start, targets):
-    """The set-BFS levels from `start` up to the first that meets
-    `targets`, each the image of the last less every state seen."""
-    levels = [1 << start]
+def ref_levels(g, sources, targets):
+    """The set-BFS levels from the set of states `sources` up to the first
+    that meets `targets`, each the image of the last less every state seen."""
+    levels = [sources]
     seen = levels[0]
     while not levels[-1] & targets:
         frontier = ref_image(levels[-1], g) & ~seen
@@ -386,12 +386,12 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
         start = full ^ (1 << (hole - 1))
         parity = start.bit_count() % 2
         shared = [to_half(1 << start, parity)]
-        every_level = ref_levels(g, start, 0)
+        every_level = ref_levels(g, 1 << start, 0)
         # state 0 has no peg, so no move reaches it: its search runs dry
         for target in [1 << (v - 1) for v in g.vertices()] + [0]:
             levels = [to_half(1 << start, parity)]
             depth = _levels(g, levels, parity, target)
-            # ref_levels(g, start, 1 << target), cut from the whole search
+            # ref_levels(g, 1 << start, 1 << target), cut from the whole search
             want = next((every_level[: k + 1] for k, level in enumerate(every_level)
                          if level >> target & 1), every_level)
             found = want[-1] >> target & 1
@@ -433,6 +433,21 @@ def assert_kernels_agree(g: Graph, holes=None, pegs=None, rng=None):
             assert len(got.witness) == g.n - 2 + 2 * count
             if pegs is None:
                 assert len(got.witness) == min(lengths)
+
+
+@pytest.mark.parametrize("hole", [2, 5])  # the holes of path:6 that solve
+def test_levels_from_the_single_peg_states(hole):
+    # a search that reaches its start: each level holds only new states, so
+    # level k shares none with level k - 2, and the levels are the reference's
+    g = path_graph(6)
+    singles = sum(1 << (1 << (v - 1)) for v in g.vertices())
+    start = 0b111111 ^ (1 << (hole - 1))
+    levels = [to_half(singles, 1)]
+    depth = _levels(g, levels, 1, start)
+    assert depth >= 4  # a one-hole start on six vertices is four moves from one peg
+    full = [from_half(level, 1 ^ k % 2) for k, level in enumerate(levels)]
+    assert full == ref_levels(g, singles, 1 << start)
+    assert all(not levels[k] & levels[k - 2] for k in range(2, len(levels)))
 
 
 def test_legal_moves_h():
