@@ -18,7 +18,7 @@ from .construct import line_solver_witness, solve_constructive
 from .errors import PreconditionFailed, SolitaireError
 from .families import graph_shape
 from .graphio import serialize_graph
-from .invariants import PathCycleVerdict, closed_form, star_certificate
+from .invariants import closed_form, star_certificate
 from .model import Graph, is_connected, replay
 from .oracle import Classification, classify
 
@@ -63,30 +63,25 @@ def sample_solver_graph(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
             return g
 
 
-def closed_form_mismatches(
-    cls: Classification, order: list[int], closed_form: PathCycleVerdict
-) -> list[str]:
-    """Every disagreement between an oracle classification and a closed-form
-    verdict, translated through the labeling `order` (position p is vertex
-    order[p - 1]); empty when they agree."""
+def closed_form_mismatches(cls: Classification, closed: Classification) -> list[str]:
+    """Every disagreement between an oracle classification and the closed
+    form's; empty when they agree."""
     failures = []
-    pos_of = {v: i + 1 for i, v in enumerate(order)}
     oracle_starts = frozenset(h for h in cls.matrix if cls.matrix[h])
-    want_starts = frozenset(order[p - 1] for p in closed_form.admissible_starts)
+    want_starts = frozenset(h for h in closed.matrix if closed.matrix[h])
     if oracle_starts != want_starts:
         failures.append(
             f"starts mismatch: oracle {sorted(oracle_starts)} closed-form {sorted(want_starts)}"
         )
-    if cls.verdict is not closed_form.level:
+    if cls.verdict is not closed.verdict:
         failures.append(
-            f"verdict mismatch: oracle {cls.verdict.value} closed-form {closed_form.level.value}"
+            f"verdict mismatch: oracle {cls.verdict.value} closed-form {closed.verdict.value}"
         )
     for h in oracle_starts & want_starts:
-        want_ends = frozenset(order[p - 1] for p in closed_form.end_pegs[pos_of[h]])
-        if cls.matrix[h] != want_ends:
+        if cls.matrix[h] != closed.matrix[h]:
             failures.append(
                 f"ends mismatch at hole {h}: oracle {sorted(cls.matrix[h])} "
-                f"closed-form {sorted(want_ends)}"
+                f"closed-form {sorted(closed.matrix[h])}"
             )
     return failures
 
@@ -96,8 +91,8 @@ def check_graph(g: Graph) -> dict:
     ``graph_shape`` keeps the shape ``closed_form`` decided, so the
     constructive solves reuse its line order instead of finding it again."""
     cls = classify(g)
-    shape, order, closed = closed_form(g)
-    failures = closed_form_mismatches(cls, order, closed)
+    shape, closed = closed_form(g)
+    failures = closed_form_mismatches(cls, closed)
     if shape == "star" and not star_certificate(g.n).verify().proves_not_solvable:
         failures.append("star certificate failed to verify")
     for hole in g.vertices():

@@ -50,6 +50,7 @@ from .invariants import (
 )
 from .model import CAPACITY, Graph, MoveSequence, replay, trace
 from .oracle import (
+    Classification,
     Verdict,
     check_budget,
     classify,
@@ -122,25 +123,23 @@ def cmd_classify(args, report: dict) -> int:
     report["input"] = {"spec": args.graph, "graph": serialize_graph(g)}
     results: dict = {}
     report["results"] = results
-    shape, order, v = closed_form(g)
+    shape, closed = closed_form(g)
     if shape == "star":
         cert = star_certificate(g.n).verify()
-        results["closed_form"] = {"shape": "star", "verdict": v.level.value, "certificate": {
+        results["closed_form"] = {"shape": "star", "verdict": closed.verdict.value, "certificate": {
             "leaf_count_preserved": cert.leaf_count_always_preserved,
             "center_toggled": cert.center_always_toggled,
             "proves_not_solvable": cert.proves_not_solvable,
         }}
     elif shape == "solver":
-        results["doubly_free_predicate"] = v.level is Verdict.DOUBLY_FREELY_SOLVABLE
+        results["doubly_free_predicate"] = closed.verdict is Verdict.DOUBLY_FREELY_SOLVABLE
     else:
+        starts = [h for h in g.vertices() if closed.matrix[h]]
         results["closed_form"] = {
             "shape": shape,
-            "verdict": v.level.value,
-            "starts": sorted(order[p - 1] for p in v.admissible_starts),
-            "matrix": {
-                str(order[p - 1]): sorted(order[q - 1] for q in v.end_pegs[p])
-                for p in v.admissible_starts
-            },
+            "verdict": closed.verdict.value,
+            "starts": starts,
+            "matrix": {str(h): sorted(closed.matrix[h]) for h in starts},
         }
     try:
         cls = classify(g, args.memory_budget)
@@ -152,14 +151,13 @@ def cmd_classify(args, report: dict) -> int:
             return EXIT_CAPACITY
         report["cross_checks"] = []
         return EXIT_OK
-    results["oracle"] = classification_to_json(g, cls)
-    del results["oracle"]["graph"]
+    results["oracle"] = classification_to_json(cls)
     report["memory"] = {
         "budget": args.memory_budget,
         "estimated_bytes": estimate_state_bytes(g.n),
     }
     kind = "doubly-free-predicate-vs-oracle" if shape == "solver" else "oracle-vs-closed-form"
-    match = not census_mod.closed_form_mismatches(cls, order, v)
+    match = cls == closed
     report["cross_checks"] = [{"kind": kind, "match": match}]
     return EXIT_OK if match else EXIT_MISMATCH
 
@@ -274,7 +272,8 @@ def cmd_table(args, report: dict) -> int:
                if estimate_state_bytes(n) <= args.memory_budget), default=0)
     if top > 20:
         raise CapacityExceeded(f"table would run the exact oracle on {args.family}:{top}; "
-                               "use --max-n <= 20 or a --memory-budget under 48MiB")
+                               "use --max-n <= 20 or a --memory-budget under "
+                               f"{estimate_state_bytes(21) >> 20}MiB")
     rows = []
     mismatches = 0
     for n in range(lo, args.max_n + 1):
@@ -291,7 +290,8 @@ def cmd_table(args, report: dict) -> int:
             g = path_graph(n) if args.family == "path" else cycle_graph(n)
             cls = classify(g, args.memory_budget)
             row["oracle_verdict"] = cls.verdict.value
-            row["match"] = not census_mod.closed_form_mismatches(cls, list(g.vertices()), v)
+            row["match"] = cls == Classification(
+                v.level, {h: v.end_pegs.get(h, frozenset()) for h in g.vertices()})
             mismatches += not row["match"]
         rows.append(row)
     report["results"] = {"family": args.family, "rows": rows}

@@ -75,7 +75,7 @@ from .errors import (
 )
 from .families import graph_shape
 from .hclasses import CLASS_BY_MASK, HClass, LETTERS, h_route, letter_mask
-from .invariants import PathCycleVerdict, classify_path, classify_cycle, doubly_free_predicate
+from .invariants import classify_cycle, classify_path, closed_form, doubly_free_predicate
 from .model import (
     JUMP,
     UNJUMP,
@@ -83,7 +83,6 @@ from .model import (
     Graph,
     Move,
     MoveSequence,
-    _pattern_ok,
     bfs,
 )
 from .oracle import solve_from
@@ -504,10 +503,7 @@ def _solve_paw_four(g: Graph, hole: int) -> MoveSequence:
     center = min(v for v in g.vertices() if g.degree(v) == 3)
     chord = min(e for e in g.edges if center not in e)
     paw = Graph(4, [(center, o) for o in g.adj[center]] + [chord])
-    res = solve_from(paw, hole)
-    if res is None:
-        raise InvariantViolation("triangle with pendant failed to solve")
-    return res.witness
+    return solve_from(paw, hole).witness
 
 
 def solve_constructive(g: Graph, hole: int) -> MoveSequence:
@@ -606,16 +602,19 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     if not 1 <= target <= g.n:
         raise PreconditionFailed(f"target {target} outside 1..{g.n}")
-    shape, order = graph_shape(g)
+    shape = graph_shape(g)[0]
     if shape == "solver" and not doubly_free_predicate(g):
         raise NotDoublyFree(
             "all degree-3 vertices sit at mutual path lengths divisible by 3"
         )
     if shape in ("path", "cycle"):
-        verdict, pos = _line_closed_form(shape, order, hole)
-        ends = sorted(order[p - 1] for p in verdict.end_pegs[pos])
+        ends = closed_form(g)[1].matrix[hole]
+        if not ends:
+            raise NotSolvableStart(f"{shape} on {g.n} vertices is not solvable from hole {hole}")
         if target not in ends:
-            raise NotDoublyFree(f"{shape} on {g.n} vertices from hole {hole} ends only on {ends}")
+            raise NotDoublyFree(
+                f"{shape} on {g.n} vertices from hole {hole} ends only on {sorted(ends)}"
+            )
     seq = solve_constructive(g, hole)
     # The solve ends on one peg, so its last move is a jump (an unjump
     # leaves pegs on both x and y), and a jump lands on z; path:2 needs none.
@@ -667,18 +666,6 @@ def _even_sweep(vs: list[int]) -> list[Move]:
     return moves
 
 
-def _line_closed_form(shape: str, order, hole: int) -> tuple[PathCycleVerdict, int]:
-    """The closed form of the path or cycle whose vertices, in line order,
-    are ``order``, and the hole's position on it; NotSolvableStart when that
-    position is not an admissible start."""
-    n = len(order)
-    verdict = classify_path(n) if shape == "path" else classify_cycle(n)
-    pos = order.index(hole) + 1 if hole in order else 0
-    if pos not in verdict.admissible_starts:
-        raise NotSolvableStart(f"{shape} on {n} vertices is not solvable from hole {hole}")
-    return verdict, pos
-
-
 def _solve_line(shape: str, order, hole: int) -> MoveSequence:
     """Solve the path or cycle whose vertices, in line order, are ``order``,
     from ``hole``; admissibility is the closed form at the hole's position.
@@ -692,7 +679,10 @@ def _solve_line(shape: str, order, hole: int) -> MoveSequence:
     the even line from the far end.
     """
     n = len(order)
-    pos = _line_closed_form(shape, order, hole)[1]
+    verdict = classify_path(n) if shape == "path" else classify_cycle(n)
+    pos = order.index(hole) + 1 if hole in order else 0
+    if pos not in verdict.admissible_starts:
+        raise NotSolvableStart(f"{shape} on {n} vertices is not solvable from hole {hole}")
     entry = 2 if n % 2 == 0 else 3
     vs = list(order)
     if shape == "cycle":
@@ -713,9 +703,8 @@ def _solve_line(shape: str, order, hole: int) -> MoveSequence:
     pegs = shift(start.pegs, vs.index(hole), entry - 1)
     if n % 2 == 0:
         return MoveSequence(start, tuple(moves + _even_sweep(vs)))
+    # The shift left the lone hole on vs[2], so this jump is always legal.
     first = Move(JUMP, vs[0], vs[1], vs[2])
-    if not _pattern_ok(pegs, first):
-        raise IllegalMove(f"{first}: peg/hole pattern does not match")
     moves.append(first)
     shift(pegs ^ first.mask(), 1, n - 2)
     return MoveSequence(start, tuple(moves + _even_sweep(vs[:0:-1])))

@@ -134,9 +134,8 @@ def witness_from_json(obj: dict) -> MoveSequence:
     return MoveSequence(start, moves)
 
 
-def classification_to_json(g: Graph, classification) -> dict:
+def classification_to_json(classification) -> dict:
     return {
-        "graph": serialize_graph(g),
         "verdict": classification.verdict.value,
         "matrix": {
             str(h): sorted(classification.matrix[h]) for h in sorted(classification.matrix)

@@ -14,8 +14,9 @@ Four independent obstruction arguments live here:
   doubly-free predicate, so both take linear time.
 
 ``closed_form`` packages the resulting start-hole/end-peg constraints for
-every connected graph; the exact oracle must reproduce them verbatim, which
-``census.closed_form_mismatches`` checks.
+every connected graph as the ``Classification`` that ``oracle.classify``
+returns, on the graph's own vertices; the exact oracle must reproduce it
+verbatim, which ``census.closed_form_mismatches`` checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DisconnectedGraph, IllDefined, PreconditionFailed
 from .families import graph_shape, star_graph
 from .model import Configuration, Graph, bfs, path_triples
-from .oracle import Verdict
+from .oracle import Classification, Verdict
 from .quaternion import I, J, K, Quaternion, q_product
 
 # ---------------------------------------------------------------------------
@@ -310,35 +311,44 @@ def classify_cycle(n: int) -> PathCycleVerdict:
 # ---------------------------------------------------------------------------
 
 
-def closed_form(g: Graph) -> tuple[str, list[int], PathCycleVerdict]:
-    """(shape, labeling, verdict) of a connected graph, without a search.
+def closed_form(g: Graph) -> tuple[str, Classification]:
+    """(shape, classification) of a connected graph, without a search: the
+    type ``oracle.classify`` returns, keyed by every vertex of g, with an
+    empty end set at each inadmissible hole, so it equals ``classify(g)``.
 
-    Position p of the verdict is vertex ``labeling[p - 1]``: the line order
-    for "path" and "cycle", the identity for "star" (no admissible start)
-    and "solver" (a non-star with a degree-3 vertex: every hole admissible).
-    On a solver graph whose mod-3 weighting w has a conflict (the
-    doubly-free predicate) every end peg is reachable from every hole.
-    Otherwise the parity of the pegs' total weight is conserved, so from
-    hole h the end pegs are {p : w(p) = W - w(h) mod 2}, W the weight of all
-    vertices, and the paper's construction reaches each of them.
+    A path or cycle reads ``classify_path``/``classify_cycle`` through its
+    line order: position p is vertex ``labels[p - 1]``, and each distinct
+    end set is translated once. A star admits no start, and a solver graph
+    (a non-star with a degree-3 vertex) admits every hole. On a solver graph
+    whose mod-3 weighting w has a conflict (the doubly-free predicate) every
+    end peg is reachable from every hole. Otherwise the parity of the pegs'
+    total weight is conserved, so from hole h the end pegs are
+    {p : w(p) = W - w(h) mod 2}, W the weight of all vertices, and the
+    paper's construction reaches each of them.
     """
     shape, labels = graph_shape(g)
     if shape is None:
         raise DisconnectedGraph("classify requires a connected graph")
-    if shape == "path":
-        return shape, labels, classify_path(g.n)
-    if shape == "cycle":
-        return shape, labels, classify_cycle(g.n)
+    matrix = dict.fromkeys(g.vertices(), frozenset())
+    if shape in ("path", "cycle"):
+        line = classify_path(g.n) if shape == "path" else classify_cycle(g.n)
+        on_labels: dict[frozenset[int], frozenset[int]] = {}
+        for p in line.admissible_starts:
+            ends = line.end_pegs[p]
+            if ends not in on_labels:
+                on_labels[ends] = frozenset(labels[q - 1] for q in ends)
+            matrix[labels[p - 1]] = on_labels[ends]
+        return shape, Classification(line.level, matrix)
     if shape == "star":
-        return shape, labels, PathCycleVerdict(False, frozenset(), {}, Verdict.NOT_SOLVABLE)
+        return shape, Classification(Verdict.NOT_SOLVABLE, matrix)
     weight = _mod3_weights(g, next(v for v in labels if g.degree(v) >= 3))
     everything = frozenset(labels)
     if _weight_conflict(g, weight) is not None:
-        ends = dict.fromkeys(labels, everything)
+        matrix = dict.fromkeys(labels, everything)
         level = Verdict.DOUBLY_FREELY_SOLVABLE
     else:
         odd = frozenset(v for v in labels if weight[v])
         by_parity = (everything - odd, odd)
-        ends = {h: by_parity[(len(odd) - weight[h]) % 2] for h in labels}
+        matrix = {h: by_parity[(len(odd) - weight[h]) % 2] for h in labels}
         level = Verdict.FREELY_SOLVABLE
-    return "solver", labels, PathCycleVerdict(True, everything, ends, level)
+    return shape, Classification(level, matrix)

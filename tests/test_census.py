@@ -86,17 +86,14 @@ def test_sampler_refuses_ranges_without_solver_graphs():
 
 def test_closed_form_mismatches_through_labeling():
     from revpeg.census import closed_form_mismatches
-    from revpeg.invariants import PathCycleVerdict, classify_path
-    from revpeg.oracle import Verdict, classify
+    from revpeg.oracle import Classification, Verdict, classify
 
     g = Graph(4, [(1, 3), (3, 2), (2, 4)])  # path 1-3-2-4
-    order = [1, 3, 2, 4]
-    assert closed_form_mismatches(classify(g), order, classify_path(4)) == []
-    lying = PathCycleVerdict(
-        True, frozenset({1, 2, 3, 4}), {p: frozenset({1}) for p in range(1, 5)},
-        Verdict.FREELY_SOLVABLE,
-    )
-    got = closed_form_mismatches(classify(g), order, lying)
+    closed = closed_form(g)[1]
+    assert closed.matrix == {1: frozenset(), 3: frozenset({2}), 2: frozenset({3}), 4: frozenset()}
+    assert closed_form_mismatches(classify(g), closed) == []
+    lying = Classification(Verdict.FREELY_SOLVABLE, {h: frozenset({1}) for h in range(1, 5)})
+    got = closed_form_mismatches(classify(g), lying)
     assert got[0].startswith("starts mismatch: oracle ")
     assert got[1] == "verdict mismatch: oracle Solvable closed-form FreelySolvable"
     assert all(m.startswith("ends mismatch at hole ") for m in got[2:]) and got[2:]
@@ -104,14 +101,11 @@ def test_closed_form_mismatches_through_labeling():
 
 def test_check_graph_compares_the_closed_form_for_every_shape(monkeypatch):
     import revpeg.census as census
-    from revpeg.invariants import PathCycleVerdict
-    from revpeg.oracle import Verdict
+    from revpeg.oracle import Classification, Verdict
 
     def lying(g):  # every hole admissible, each ending on itself
-        everything = frozenset(g.vertices())
         ends = {h: frozenset({h}) for h in g.vertices()}
-        verdict = PathCycleVerdict(True, everything, ends, Verdict.FREELY_SOLVABLE)
-        return "solver", list(g.vertices()), verdict
+        return "solver", Classification(Verdict.FREELY_SOLVABLE, ends)
 
     monkeypatch.setattr(census, "closed_form", lying)
     for g in (star_graph(5), paw_graph(), Graph(4, [(1, 3), (3, 2), (2, 4)])):

@@ -1,9 +1,10 @@
 """Differential test: ``invariants.closed_form`` against the exact oracle.
 
-Read through its labeling, the closed form must give the oracle's verdict
-and its whole start-hole -> end-peg matrix: the admissible starts and every
-end set, for stars, paths, cycles and solver graphs alike. The comparison
-here is written out independently of ``census.closed_form_mismatches``.
+The closed form must return the oracle's ``Classification``, keyed by the
+graph's own vertices: its verdict and its whole start-hole -> end-peg
+matrix, the admissible starts and every end set, for stars, paths, cycles
+and solver graphs alike, under any labeling. The comparison here is written
+out independently of ``census.closed_form_mismatches``.
 The constructive solver must also land on the closed form's end pegs:
 routed to each of them on doubly free graphs, and inside the end set from
 every hole on subdivided ones.
@@ -29,22 +30,12 @@ from revpeg.model import Graph, replay
 from revpeg.oracle import Verdict, classify
 
 
-def closed_form_matrix(g):
-    """(shape, verdict, matrix) of the closed form, with the matrix keyed
-    and valued by vertex and an empty end set at inadmissible holes."""
-    shape, order, closed = closed_form(g)
-    assert sorted(order) == list(g.vertices()), (g, order)
-    matrix = dict.fromkeys(g.vertices(), frozenset())
-    for p in closed.admissible_starts:
-        matrix[order[p - 1]] = frozenset(order[q - 1] for q in closed.end_pegs[p])
-    return shape, closed.level, matrix
-
-
 def assert_agrees(g):
-    shape, level, matrix = closed_form_matrix(g)
+    shape, closed = closed_form(g)
+    assert sorted(closed.matrix) == list(g.vertices()), (g, closed.matrix)
     cls = classify(g)
-    assert level is cls.verdict, (g, shape, level, cls.verdict)
-    assert matrix == cls.matrix, (g, shape)
+    assert closed.verdict is cls.verdict, (g, shape, closed.verdict, cls.verdict)
+    assert closed.matrix == cls.matrix, (g, shape)
     return shape
 
 
@@ -86,7 +77,7 @@ def small_subdivided_graphs(rng, count, max_n=16):
 def test_seeded_subdivided_graphs():
     # not doubly free, so the end sets split by weight parity
     for g in small_subdivided_graphs(random.Random(4242), 100):
-        assert closed_form(g)[2].level is Verdict.FREELY_SOLVABLE, g
+        assert closed_form(g)[1].verdict is Verdict.FREELY_SOLVABLE, g
         assert assert_agrees(g) == "solver"
 
 
@@ -101,19 +92,19 @@ def test_refusals():
 
 def test_parity_end_sets_on_h():
     # H = claw 1,2,4 around 3 with 4-5: weights 1,1,0,1,1 from vertex 3
-    shape, level, matrix = closed_form_matrix(Graph(5, [(1, 3), (2, 3), (3, 4), (4, 5)]))
-    assert (shape, level) == ("solver", Verdict.FREELY_SOLVABLE)
-    assert matrix[3] == frozenset({3})
-    assert all(matrix[h] == frozenset({1, 2, 4, 5}) for h in (1, 2, 4, 5))
+    shape, closed = closed_form(Graph(5, [(1, 3), (2, 3), (3, 4), (4, 5)]))
+    assert (shape, closed.verdict) == ("solver", Verdict.FREELY_SOLVABLE)
+    assert closed.matrix[3] == frozenset({3})
+    assert all(closed.matrix[h] == frozenset({1, 2, 4, 5}) for h in (1, 2, 4, 5))
 
 
 @pytest.mark.parametrize("g", [double_star(2, 2), sample_solver_graph(random.Random(77), 10, 12)],
                          ids=["doublestar:2,2", "seeded"])
 def test_constructive_routes_to_every_predicted_end_peg(g):
-    _, level, matrix = closed_form_matrix(g)
-    assert level is Verdict.DOUBLY_FREELY_SOLVABLE and doubly_free_predicate(g), g
+    closed = closed_form(g)[1]
+    assert closed.verdict is Verdict.DOUBLY_FREELY_SOLVABLE and doubly_free_predicate(g), g
     for hole in g.vertices():
-        for target in sorted(matrix[hole]):
+        for target in sorted(closed.matrix[hole]):
             seq = solve_constructive_to(g, hole, target)
             assert replay(g, seq).peg_vertices() == (target,), (g, hole, target)
 
@@ -121,11 +112,11 @@ def test_constructive_routes_to_every_predicted_end_peg(g):
 def test_constructive_ends_inside_the_closed_form_on_subdivided_graphs():
     rng = random.Random(5151)
     for g in (subdivided_graph(rng, 5), subdivided_graph(rng, 6)):
-        _, level, matrix = closed_form_matrix(g)
-        assert level is Verdict.FREELY_SOLVABLE, g
+        closed = closed_form(g)[1]
+        assert closed.verdict is Verdict.FREELY_SOLVABLE, g
         for hole in g.vertices():
             end = replay(g, solve_constructive(g, hole)).peg_vertices()
-            assert len(end) == 1 and end[0] in matrix[hole], (g, hole, end)
+            assert len(end) == 1 and end[0] in closed.matrix[hole], (g, hole, end)
 
 
 if __name__ == "__main__":

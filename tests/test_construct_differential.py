@@ -332,8 +332,8 @@ def ref_solve_constructive_to(g, hole, target):
         raise NotDoublyFree("not doubly free")
     seq = ref_solve_constructive(g, hole)
     if not solver:
-        shape, order, verdict = closed_form(g)
-        if target not in {order[p - 1] for p in verdict.end_pegs[order.index(hole) + 1]}:
+        shape, closed = closed_form(g)
+        if target not in closed.matrix[hole]:
             raise NotDoublyFree(f"{shape} target outside the end set")
     cur = seq.start
     for m in seq.moves:

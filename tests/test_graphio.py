@@ -77,10 +77,8 @@ class TestClassificationJson:
         from revpeg.graphio import classification_to_json
         from revpeg.oracle import classify
 
-        g = path_graph(4)
-        obj = classification_to_json(g, classify(g))
+        obj = classification_to_json(classify(path_graph(4)))
         assert obj == {
-            "graph": "4 3\n1 2\n2 3\n3 4",
             "verdict": "Solvable",
             "matrix": {"1": [], "2": [3], "3": [2], "4": []},
         }

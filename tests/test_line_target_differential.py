@@ -37,14 +37,13 @@ REFUSALS_UP_TO = 16
 
 
 def check_line(g, rng, every_target):
-    shape, order, verdict = closed_form(g)
-    for p in range(1, g.n + 1):
-        hole = order[p - 1]
-        if p not in verdict.admissible_starts:
+    shape, closed = closed_form(g)
+    for hole in g.vertices():
+        if not closed.matrix[hole]:
             with pytest.raises(NotSolvableStart):
                 solve_constructive_to(g, hole, hole)
             continue
-        ends = sorted(order[q - 1] for q in verdict.end_pegs[p])
+        ends = sorted(closed.matrix[hole])
         refusal = f"{shape} on {g.n} vertices from hole {hole} ends only on {ends}"
         others = sorted(set(g.vertices()) - set(ends))
         if not every_target:
