@@ -386,15 +386,13 @@ def _render_text(obj, indent=0) -> list[str]:
                 lines += _render_text(v, indent + 1)
             else:
                 lines.append(f"{pad}{k}: {json.dumps(v)}")
-    elif isinstance(obj, list):
+    else:  # a list: main passes a dict, and only containers recurse
         for v in obj:
             if isinstance(v, (dict, list)):
                 lines.append(f"{pad}-")
                 lines += _render_text(v, indent + 1)
             else:
                 lines.append(f"{pad}- {json.dumps(v)}")
-    else:
-        lines.append(f"{pad}{json.dumps(obj)}")
     return lines
 
 
@@ -510,7 +508,3 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

@@ -75,7 +75,7 @@ from .errors import (
 )
 from .families import graph_shape
 from .hclasses import CLASS_BY_MASK, HClass, LETTERS, h_route, letter_mask
-from .invariants import classify_cycle, classify_path, closed_form, doubly_free_predicate
+from .invariants import classify_cycle, classify_path, doubly_free_predicate
 from .model import (
     JUMP,
     UNJUMP,
@@ -272,8 +272,8 @@ def find_h_embedding(t: WorkingTree) -> HEmbedding:
                     if ext:
                         return HEmbedding(a0, b0, c0, d0, min(ext))
     raise EmbeddingNotFound(
-        "no claw-with-subdivided-edge in the working tree; "
-        "the tree invariants should make this impossible"
+        f"no claw-with-subdivided-edge in the {tree.n}-vertex working tree: no vertex "
+        "of tree-degree >= 3 has a neighbour that continues one step further"
     )
 
 
@@ -518,7 +518,7 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     if shape is None:
         raise PreconditionFailed("graph must be connected")
     if shape != "solver":
-        return _solve_line(shape, order, hole)
+        return _solve_line(shape, order, _line_start(shape, order, hole)[0])
     if g.n == 4:
         return _solve_paw_four(g, hole)
     f = _frame(g)
@@ -532,9 +532,7 @@ def solve_constructive(g: Graph, hole: int) -> MoveSequence:
     vs = f.emb.vertices
     h = _h_bits(vs, pegs)
     rep = "a" if CLASS_BY_MASK[h] is HClass.A else "c"
-    pegs = _within_h(vs, pegs, h, letter_mask(rep), moves)
-    if pegs.bit_count() != 1:
-        raise InvariantViolation("constructive solve did not end at one peg")
+    _within_h(vs, pegs, h, letter_mask(rep), moves)
     return MoveSequence(start, tuple(moves))
 
 
@@ -602,20 +600,19 @@ def solve_constructive_to(g: Graph, hole: int, target: int) -> MoveSequence:
         raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
     if not 1 <= target <= g.n:
         raise PreconditionFailed(f"target {target} outside 1..{g.n}")
-    shape = graph_shape(g)[0]
+    shape, order = graph_shape(g)
     if shape == "solver" and not doubly_free_predicate(g):
         raise NotDoublyFree(
             "all degree-3 vertices sit at mutual path lengths divisible by 3"
         )
     if shape in ("path", "cycle"):
-        ends = closed_form(g)[1].matrix[hole]
-        if not ends:
-            raise NotSolvableStart(f"{shape} on {g.n} vertices is not solvable from hole {hole}")
-        if target not in ends:
-            raise NotDoublyFree(
-                f"{shape} on {g.n} vertices from hole {hole} ends only on {sorted(ends)}"
-            )
-    seq = solve_constructive(g, hole)
+        pos, ends = _line_start(shape, order, hole)
+        if order.index(target) + 1 not in ends:
+            raise NotDoublyFree(f"{shape} on {g.n} vertices from hole {hole} ends only on "
+                                f"{sorted(order[q - 1] for q in ends)}")
+        seq = _solve_line(shape, order, pos)
+    else:
+        seq = solve_constructive(g, hole)
     # The solve ends on one peg, so its last move is a jump (an unjump
     # leaves pegs on both x and y), and a jump lands on z; path:2 needs none.
     peg = seq.moves[-1].z if seq.moves else seq.start.peg_vertices()[0]
@@ -666,9 +663,21 @@ def _even_sweep(vs: list[int]) -> list[Move]:
     return moves
 
 
-def _solve_line(shape: str, order, hole: int) -> MoveSequence:
+def _line_start(shape: str, order, hole: int) -> tuple[int, frozenset[int]]:
+    """The position of ``hole`` on the path or cycle whose vertices, in line
+    order, are ``order``, and the positions its closed form ends on; raises
+    NotSolvableStart for a hole at no admissible position."""
+    n = len(order)
+    verdict = classify_path(n) if shape == "path" else classify_cycle(n)
+    pos = order.index(hole) + 1 if hole in order else 0
+    if pos not in verdict.admissible_starts:
+        raise NotSolvableStart(f"{shape} on {n} vertices is not solvable from hole {hole}")
+    return pos, verdict.end_pegs[pos]
+
+
+def _solve_line(shape: str, order, pos: int) -> MoveSequence:
     """Solve the path or cycle whose vertices, in line order, are ``order``,
-    from ``hole``; admissibility is the closed form at the hole's position.
+    from the hole on position ``pos``, which ``_line_start`` admitted.
 
     The construction needs the hole on the entry position 2 (even n) or 3
     (odd multiples of 3). A path whose hole is in the other admissible
@@ -679,10 +688,7 @@ def _solve_line(shape: str, order, hole: int) -> MoveSequence:
     the even line from the far end.
     """
     n = len(order)
-    verdict = classify_path(n) if shape == "path" else classify_cycle(n)
-    pos = order.index(hole) + 1 if hole in order else 0
-    if pos not in verdict.admissible_starts:
-        raise NotSolvableStart(f"{shape} on {n} vertices is not solvable from hole {hole}")
+    hole = order[pos - 1]
     entry = 2 if n % 2 == 0 else 3
     vs = list(order)
     if shape == "cycle":
@@ -713,12 +719,14 @@ def _solve_line(shape: str, order, hole: int) -> MoveSequence:
 def solve_path(n: int, hole: int) -> MoveSequence:
     """Explicit solution for the n-vertex path, entered anywhere the
     closed-form classifier admits."""
-    return _solve_line("path", range(1, n + 1), hole)
+    order = range(1, n + 1)
+    return _solve_line("path", order, _line_start("path", order, hole)[0])
 
 
 def solve_cycle(n: int, hole: int) -> MoveSequence:
     """Explicit solution for the n-vertex cycle."""
-    return _solve_line("cycle", range(1, n + 1), hole)
+    order = range(1, n + 1)
+    return _solve_line("cycle", order, _line_start("cycle", order, hole)[0])
 
 
 def line_solver_witness(g: Graph, hole: int) -> MoveSequence | None:

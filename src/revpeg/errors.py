@@ -48,7 +48,7 @@ class PatternMismatch(SolitaireError):
 
 
 class EmbeddingNotFound(SolitaireError):
-    """Defensive: no claw-with-subdivided-edge embedding was found."""
+    """A working tree holds no claw-with-subdivided-edge (the graph H)."""
 
 
 class NotSameClass(SolitaireError):

@@ -88,10 +88,8 @@ def cycle_order(g: Graph) -> list[int] | None:
     order = [1, min(g.neighbors(1))]
     while len(order) < g.n:
         a, b = order[-2], order[-1]
-        nxt = [w for w in g.neighbors(b) if w != a]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
+        # b has degree 2 and a is one neighbour, so the other is the next vertex
+        order.append(next(w for w in g.neighbors(b) if w != a))
     return order
 
 

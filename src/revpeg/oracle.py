@@ -377,6 +377,17 @@ def _single_peg_levels(g: Graph) -> list[int]:
     return [sum(1 << (mask >> 1) for mask, _ in _single_peg_states(g.n))]
 
 
+def _one_hole_start(g: Graph, hole: int, caller: str) -> int:
+    """The peg mask of the one-hole start on `hole`. First refuses, in the
+    name of `caller` (a search from that start), a disconnected graph, then
+    a hole outside the graph."""
+    if not is_connected(g):
+        raise DisconnectedGraph(f"{caller} requires a connected graph")
+    if not 1 <= hole <= g.n:
+        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    return ((1 << g.n) - 1) ^ (1 << (hole - 1))
+
+
 def solve_from(
     g: Graph, hole: int, memory_budget: int | None = None
 ) -> SolveResult | None:
@@ -385,12 +396,8 @@ def solve_from(
     The witness is the ``_route`` to the smallest end peg, from a search
     backward from it. Returns None when no single-peg state is reachable.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("solve_from requires a connected graph")
-    if not 1 <= hole <= g.n:
-        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    start = _one_hole_start(g, hole, "solve_from")
     check_budget(g.n, memory_budget, witness=True)
-    start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
     seen = _closure(g, start)
     end_pegs = frozenset(v for mask, v in _single_peg_states(g.n) if _has(seen, mask))
     if not end_pegs:
@@ -404,13 +411,9 @@ def witness_to(
 ) -> MoveSequence | None:
     """Witness from the one-hole start to the single peg on `peg`, if that
     end position is reachable."""
-    if not is_connected(g):
-        raise DisconnectedGraph("witness_to requires a connected graph")
-    if not 1 <= hole <= g.n:
-        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    start = _one_hole_start(g, hole, "witness_to")
     if not 1 <= peg <= g.n:
         raise PreconditionFailed(f"peg {peg} outside 1..{g.n}")
-    start = ((1 << g.n) - 1) ^ (1 << (hole - 1))
     return shortest_route(g, start, 1 << (peg - 1), memory_budget)
 
 
@@ -463,16 +466,13 @@ def min_unjumps(
     Returns None when the start is not solvable at all, at once when it has
     no legal move and more than one peg.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("min_unjumps requires a connected graph")
-    if not 1 <= hole <= g.n:
-        raise PreconditionFailed(f"hole {hole} outside 1..{g.n}")
+    start = _one_hole_start(g, hole, "min_unjumps")
     check_budget(g.n, memory_budget, witness=True)
     # With one hole and n - 1 >= 2 pegs, the only legal moves jump into the
     # hole over a neighbour that has another neighbour.
     if g.n > 2 and all(g.degree(y) == 1 for y in g.adj[hole]):
         return None
-    witness = _route(g, ((1 << g.n) - 1) ^ (1 << (hole - 1)), _single_peg_levels(g), 1)
+    witness = _route(g, start, _single_peg_levels(g), 1)
     if witness is None:
         return None
     return MinUnjumpResult(witness.unjump_count(), witness)

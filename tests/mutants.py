@@ -52,6 +52,8 @@ class Mutant(NamedTuple):
 CONSTRUCT = "construct.py"
 ORACLE = "oracle.py"
 KERNELS = ("test_construct_kernels.py",)
+CENSUS_FAULTS = ("test_census.py::test_check_graph_reports_each_failed_cross_check",
+                 "test_census.py")
 
 CATALOGUE = [
     Mutant("frame-absorb-class-check", CONSTRUCT,
@@ -129,6 +131,17 @@ CATALOGUE = [
     Mutant("closed-form-end-comparison", "census.py",
            "        if cls.matrix[h] != closed.matrix[h]:", "        if False:",
            ("test_census.py",)),
+    # the census's own cross-checks fail only under fault injection
+    Mutant("census-star-certificate-check", "census.py",
+           '    if shape == "star" and not star_certificate(g.n).verify().proves_not_solvable:',
+           "    if False:", CENSUS_FAULTS),
+    Mutant("census-constructive-solve-check", "census.py",
+           '            failures.append(f"constructive solve failed from hole {hole}: {exc}")',
+           "            pass", CENSUS_FAULTS),
+    Mutant("census-end-count-check", "census.py",
+           "        if end.peg_count() != 1:", "        if False:", CENSUS_FAULTS),
+    Mutant("census-end-peg-check", "census.py",
+           "        elif end.peg_vertices()[0] not in ends:", "        elif False:", CENSUS_FAULTS),
     # positions would stand for vertices: right on 1..n in line order only
     Mutant("closed-form-line-translation", "invariants.py",
            "                on_labels[ends] = frozenset(labels[q - 1] for q in ends)\n"

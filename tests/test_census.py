@@ -1,4 +1,8 @@
+import json
 import random
+from types import SimpleNamespace
+
+import pytest
 
 from revpeg.census import (
     check_graph,
@@ -7,9 +11,11 @@ from revpeg.census import (
     sample_solver_graph,
 )
 from conftest import relabeled
+from revpeg.cli import main
+from revpeg.errors import InvariantViolation
 from revpeg.families import cycle_graph, is_star_shape, path_graph, paw_graph, star_graph
 from revpeg.invariants import closed_form
-from revpeg.model import Graph, replay
+from revpeg.model import Configuration, Graph, replay
 
 
 # Known counts of labeled connected graphs (OEIS A001187).
@@ -152,3 +158,38 @@ def test_check_graph_finds_the_line_order_once_per_graph(monkeypatch):
         calls.clear()
         assert len(replayed_witnesses(monkeypatch, relabeled(rng, line(8)))) > 1
         assert calls == want
+
+
+def lying_certificate(n):
+    return SimpleNamespace(verify=lambda: SimpleNamespace(proves_not_solvable=False))
+
+
+def failing_solve(g, hole):
+    raise InvariantViolation("injected")
+
+
+# path:4 admits holes 2 and 3, ending on 3 and 2
+@pytest.mark.parametrize("name, fake, g, failures", [
+    ("star_certificate", lying_certificate, star_graph(4), ["star certificate failed to verify"]),
+    ("solve_constructive", failing_solve, path_graph(4),
+     [f"constructive solve failed from hole {h}: injected" for h in (2, 3)]),
+    ("replay", lambda g, seq: Configuration(g.n, 0b11), path_graph(4),
+     [f"witness from hole {h} left 2 pegs" for h in (2, 3)]),
+    ("replay", lambda g, seq: Configuration.single_peg(g.n, 1), path_graph(4),
+     [f"witness from hole {h} ended on 1, outside the oracle end set" for h in (2, 3)]),
+], ids=["star-certificate", "constructive-solve", "end-count", "end-peg"])
+def test_check_graph_reports_each_failed_cross_check(monkeypatch, name, fake, g, failures):
+    import revpeg.census as census
+
+    monkeypatch.setattr(census, name, fake)
+    assert check_graph(g)["failures"] == failures
+
+
+def test_census_command_exits_2_with_the_counterexample(monkeypatch, capsys):
+    import revpeg.census as census
+
+    monkeypatch.setattr(census, "star_certificate", lying_certificate)
+    assert main(["census", "--max-n", "4"]) == 2
+    bad = json.loads(capsys.readouterr().out)["results"]["counterexamples"]
+    assert [(r["n"], r["shape"], r["failures"]) for r in bad] == [
+        (4, "star", ["star certificate failed to verify"])] * 4  # the 4 labeled K_{1,3}

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -20,6 +21,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip().startswith("{") else out)
+
+
+def spec_file(tmp_path, spec):
+    """`spec`, or when it is an edge-list document, a file holding it."""
+    if "\n" not in spec:
+        return spec
+    (tmp_path / "g.txt").write_text(spec)
+    return str(tmp_path / "g.txt")
 
 
 class TestClassify:
@@ -311,7 +320,8 @@ class TestVerify:
         ({"n": 3, "pegs": [1, 99]}, "configuration pegs: peg vertex 99 outside 1..3"),
         ({"n": 0, "pegs": []}, "configuration n: vertex count must be >= 1, got n=0"),
         ({"n": 3, "pegs": [1.5]}, "configuration peg must be an integer, got 1.5"),
-    ], ids=["peg-out-of-range", "n-zero", "float-peg"])
+        ({}, "bad configuration object: 'n'"),
+    ], ids=["peg-out-of-range", "n-zero", "float-peg", "empty-start"])
     def test_bad_start_is_a_parse_error(self, capsys, tmp_path, start, why):
         wf = tmp_path / "w.json"
         wf.write_text(json.dumps({"start": start, "moves": []}))
@@ -319,6 +329,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert why in captured.err
+
+    def test_witness_without_a_start_is_a_parse_error(self, capsys, tmp_path):
+        wf = tmp_path / "w.json"
+        wf.write_text("{}")
+        assert main(["verify", str(wf), "path:3"]) == 1
+        assert capsys.readouterr().err == "parse error: bad witness object: 'start'\n"
 
     def test_witness_for_wrong_graph_size(self, capsys, tmp_path):
         seq = MoveSequence(Configuration.with_hole(3, 3), (jump(1, 2, 3),))
@@ -608,16 +624,28 @@ class TestBadInputs:
     @pytest.mark.parametrize("spec, why", [
         ("path:0", "path needs n >= 1, got 0"),
         ("star:1", "star needs n >= 2, got 1"),
-        ("self-loop", "self-loop at vertex 1"),
-    ], ids=["path:0", "star:1", "self-loop"])
+        ("3 2\n1 1\n2 3\n", "self-loop at vertex 1"),
+        ("cycle:2", "cycle needs n >= 3, got 2"),
+        ("0 0\n", "vertex count must be >= 1, got 0"),
+    ], ids=["path:0", "star:1", "self-loop", "cycle:2", "no-vertices"])
     def test_invalid_graph_is_a_parse_error(self, capsys, tmp_path, spec, why):
-        if spec == "self-loop":
-            spec = str(tmp_path / "loop.txt")
-            (tmp_path / "loop.txt").write_text("3 2\n1 1\n2 3\n")
+        spec = spec_file(tmp_path, spec)
         assert main(["classify", spec]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"parse error: invalid graph {spec!r}: {why}\n"
+
+    @pytest.mark.parametrize("spec, why", [
+        ("path:1,2", "path takes a single vertex count, got 'path:1,2'"),
+        ("doublestar:3", "doublestar takes L,R, got 'doublestar:3'"),
+        ("# no edges\n\n", "empty graph document"),
+        ("3\n", "line 1: expected header 'n m', got '3'"),
+        ("3 1\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
+    ], ids=["path:1,2", "doublestar:3", "empty", "one-token-header", "three-token-edge"])
+    def test_malformed_graph_is_a_parse_error(self, capsys, tmp_path, spec, why):
+        assert main(["classify", spec_file(tmp_path, spec)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"parse error: {why}\n")
 
     def test_zero_threads(self, capsys):
         assert main(["--threads", "0", "census", "--max-n", "2"]) == 1
@@ -693,7 +721,7 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out.strip() == "[]"
 
 
-def test_python_m_revpeg_matches_main(capsys):
+def test_python_m_revpeg_matches_main(capsys, monkeypatch):
     code = main(["classify", "path:6"])
     want = capsys.readouterr().out
     src = Path(__file__).resolve().parent.parent / "src"
@@ -701,3 +729,8 @@ def test_python_m_revpeg_matches_main(capsys):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert (proc.returncode, proc.stdout) == (code, want)
+    # the same entry point in this process
+    monkeypatch.setattr(sys, "argv", ["revpeg", "classify", "path:6"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("revpeg", run_name="__main__")
+    assert (exc.value.code, capsys.readouterr().out) == (code, want)

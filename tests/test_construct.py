@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from revpeg.construct import (
 )
 import revpeg.construct as construct
 from revpeg.errors import (
+    EmbeddingNotFound,
     InvariantViolation,
     NotDoublyFree,
     NotSameClass,
@@ -159,6 +161,15 @@ class TestFindHEmbedding:
         assert {emb.a, emb.b} == {3, 4}
         assert emb.e == 5
 
+    @pytest.mark.parametrize("tree", [path_graph(6), star_graph(6)], ids=["path:6", "star:6"])
+    def test_tree_without_h_refused(self, tree):
+        # WorkingTree takes any tree: a path has no vertex of degree 3, and
+        # no neighbour of a star's centre continues
+        why = ("no claw-with-subdivided-edge in the 6-vertex working tree: no vertex of "
+               "tree-degree >= 3 has a neighbour that continues one step further")
+        with pytest.raises(EmbeddingNotFound, match=f"^{why}$"):
+            find_h_embedding(WorkingTree(tree, 1))
+
 
 def h_config(letters: str) -> Configuration:
     return Configuration.from_vertices(5, ["abcde".index(ch) + 1 for ch in letters])
@@ -266,6 +277,31 @@ def test_steps_refuse_a_configuration_of_another_size(step, c):
     t = WorkingTree(tail_graph(4, 2), 3)
     with pytest.raises(PreconditionFailed, match="configuration and graph sizes differ"):
         step(t, find_h_embedding(t), c)
+
+
+H = HEmbedding(1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("call, error, why", [
+    (lambda: p4_move(path_graph(4), Configuration(4, 1), (1, 2, 1, 2)),
+     PatternMismatch, "path (1, 2, 1, 2) repeats a vertex"),
+    (lambda: transform_within_h(H, Configuration(6, 1), {1, 6}),
+     PreconditionFailed, "target pegs [6] are outside H"),
+    (lambda: _build_frame(WorkingTree(h_graph(), 3), HEmbedding(1, 2, 3, 5, 4)),
+     PreconditionFailed,
+     "HEmbedding(a=1, b=2, c=3, d=5, e=4) is not an embedded H in the working tree"),
+    (lambda: _build_frame(WorkingTree(Graph(6, h_graph().edges), 3), H),
+     PreconditionFailed, "vertex 6 is not connected to H in the working tree"),
+    (lambda: shift_hole_onto_h(WorkingTree(h_graph(), 3), H, Configuration(5, 0b11100)),
+     PreconditionFailed, "expected exactly one hole"),
+    (lambda: shift_hole_onto_h(WorkingTree(h_graph(), 3), H, Configuration.full(5)),
+     PreconditionFailed, "expected exactly one hole"),
+    (lambda: solve_constructive_to(h_graph(), 1, 6), PreconditionFailed, "target 6 outside 1..5"),
+], ids=["p4-repeated-vertex", "within-h-stray-target", "frame-not-h", "frame-unreached-vertex",
+        "shift-two-holes", "shift-no-hole", "target-outside"])
+def test_step_preconditions_refused(call, error, why):
+    with pytest.raises(error, match=f"^{re.escape(why)}$"):
+        call()
 
 
 class TestAbsorbStaging:

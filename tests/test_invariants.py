@@ -40,6 +40,12 @@ class TestPathWeight:
         assert path_weight(3, Configuration.single_peg(3, 2)) == J
         assert path_weight(3, Configuration.single_peg(3, 3)) == K
 
+    @pytest.mark.parametrize("weight", [path_weight, lifted_cycle_weight])
+    def test_weights_refuse_a_configuration_of_another_size(self, weight):
+        why = "^configuration is on 5 vertices, expected 4$"
+        with pytest.raises(PreconditionFailed, match=why):
+            weight(4, Configuration(5, 1))
+
     @pytest.mark.parametrize("n", range(3, 16))
     def test_preserved_by_every_move(self, n):
         g = path_graph(n)

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -91,6 +92,7 @@ class TestGraph:
         a = Graph(3, [(1, 2), (2, 3)])
         b = Graph(3, [(2, 3), (1, 2)])
         assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Graph(n=3, m=2)"
 
     def test_is_connected_against_reference(self, rng):
         # reference: transitive closure by edge relaxation
@@ -139,6 +141,18 @@ class TestConfiguration:
     def test_peg_count(self):
         assert Configuration.from_vertices(6, [1, 4, 6]).peg_count() == 3
         assert Configuration(6, 0).peg_count() == 0
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda: Configuration.with_hole(3, 4), "hole 4 outside 1..3"),
+    (lambda: Configuration.single_peg(3, 0), "peg 0 outside 1..3"),
+    (lambda: legal_moves(path_graph(3), Configuration(4, 1)),
+     "configuration is on 4 vertices, graph on 3"),
+    (lambda: double_star(-1, 2), "pendant counts must be non-negative"),
+], ids=["with_hole", "single_peg", "legal_moves", "double_star"])
+def test_arguments_outside_their_range_refused(call, why):
+    with pytest.raises(ValidationError, match=f"^{re.escape(why)}$"):
+        call()
 
 
 class TestLegalMoves:
@@ -237,6 +251,7 @@ class TestReplay:
         g = path_graph(3)
         seq = MoveSequence(Configuration.from_vertices(3, [1, 2]), (jump(1, 2, 3),))
         assert replay(g, seq) == Configuration.from_vertices(3, [3])
+        assert list(seq) == [jump(1, 2, 3)] and len(seq) == 1
 
     def test_illegal_move_at_zero(self):
         g = path_graph(3)

@@ -23,6 +23,7 @@ from revpeg.model import (
     replay,
 )
 from revpeg.oracle import (
+    EquivalencePartition,
     Verdict,
     classify,
     equivalence_partition,
@@ -176,6 +177,10 @@ class TestReachableSet:
         c = config_of("ce")
         assert reachable_set(h_graph(), c) == frozenset([c])
 
+    def test_configuration_of_another_size_refused(self):
+        with pytest.raises(PreconditionFailed, match="^configuration and graph sizes differ$"):
+            reachable_set(h_graph(), Configuration(4, 1))
+
     def test_h_e_reaches_all_of_class_a(self):
         got = reachable_set(h_graph(), config_of("e"))
         assert got == frozenset(config_of(s) for s in CLASS_A)
@@ -203,6 +208,26 @@ class TestReachableSet:
         monkeypatch.setattr(oracle, "_bit_masks", allocate)
         with pytest.raises(CapacityExceeded):
             query(path_graph(10), 1024)
+
+
+@pytest.mark.parametrize("name, query", [
+    ("solve_from", lambda g, hole: solve_from(g, hole, 1)),
+    ("witness_to", lambda g, hole: witness_to(g, hole, 99, 1)),
+    ("min_unjumps", lambda g, hole: min_unjumps(g, hole, 1)),
+], ids=["solve_from", "witness_to", "min_unjumps"])
+def test_one_hole_refusals_in_order(name, query):
+    # a disconnected graph first, then the hole, each before the budget of 1 byte
+    with pytest.raises(DisconnectedGraph, match=f"^{name} requires a connected graph$"):
+        query(Graph(4, [(1, 2), (3, 4)]), 9)
+    for hole in (0, 5):
+        with pytest.raises(PreconditionFailed, match=rf"^hole {hole} outside 1\.\.4$"):
+            query(path_graph(4), hole)
+
+
+def test_witness_to_refuses_a_peg_outside_before_the_budget():
+    for peg in (0, 5):
+        with pytest.raises(PreconditionFailed, match=rf"^peg {peg} outside 1\.\.4$"):
+            witness_to(path_graph(4), 1, peg, 1)
 
 
 class TestEquivalencePartition:
@@ -268,6 +293,12 @@ class TestEquivalencePartition:
         for n in (3, 6):
             with pytest.raises(PreconditionFailed, match="configuration and graph sizes differ"):
                 part.block_of(Configuration(n, 5))
+
+    def test_block_of_refuses_a_mask_outside_a_partition_built_by_hand(self):
+        part = EquivalencePartition(2, (frozenset({0, 3}),))
+        assert part.block_of(Configuration(2, 3)) == frozenset({0, 3})
+        with pytest.raises(ValueError, match="^mask 1 outside the partition$"):
+            part.block_of(Configuration(2, 1))
 
 
 class TestSolveFrom:

@@ -70,6 +70,9 @@ def test_parse_and_str_roundtrip():
     assert Quaternion.parse("-i") == -I
     with pytest.raises(ValueError):
         Quaternion.parse("q")
+    for sign, axis in ((2, "i"), (1, "q")):
+        with pytest.raises(ValueError, match="^no such quaternion: "):
+            Quaternion(sign, axis)
 
 
 def test_empty_product_is_identity():
